@@ -1,0 +1,143 @@
+"""Hash exchange made of plain Ray tasks.
+
+A Ray Data all-to-all (``repartition``, the sort-based ``groupby``) pays a
+Dataset execution with several scheduling rounds, which dominates a job
+whose kernels take a fraction of a second.  A one-shot hash exchange of
+Arrow tables needs only three kinds of task:
+
+    Dataset --execute once--> block refs --split--> slices (ref, offset, rows)
+      side tasks   fn(slice) per slice, results to the driver
+                   (histograms, bounding boxes: same refs, no re-execution)
+      map tasks    map_fn(slice) -> (table, bucket); stable argsort by
+                   bucket, one Arrow slice per bucket (num_returns=R)
+      reduce tasks one per bucket: concat its R parts, reduce_fn(table)
+
+Ray's Arrow serializer ships only the rows of a sliced table, so a map
+task's R outputs together cost one copy of its table.  The number of map
+tasks in flight is bounded, and every ``ray.get``/``ray.wait`` here waits
+only on refs submitted by the same call.
+
+Task functions are module-level and take their callables as arguments, so
+workers resolve the callables' engine functions by module-level name.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Sequence
+
+import numpy as np
+import pyarrow as pa
+import ray
+import ray.data as rd
+from ray.data.block import BlockAccessor
+
+# (block ref, first row, row count)
+Slice = tuple[ray.ObjectRef, int, int]
+
+
+def cluster_cpus() -> int:
+    return int(ray.cluster_resources().get("CPU", 1))
+
+
+def dataset_slices(ds: rd.Dataset, n_parts: int) -> tuple[list[Slice], pa.Schema, int]:
+    """Execute ``ds`` once and cut its blocks into about ``n_parts`` row
+    ranges of similar size (one per block when there are more blocks).
+
+    Returns (slices, schema, total rows).  Zero-row blocks are skipped; an
+    input with no rows yields one empty slice of its schema, so downstream
+    tasks still see the columns."""
+    blocks, schema = [], None
+    for bundle in ds.iter_internal_ref_bundles():
+        blocks.extend((ref, meta.num_rows) for ref, meta in bundle.blocks)
+        schema = schema or bundle.schema
+    if schema is None:  # only empty blocks, which may carry no schema
+        schema = ds.schema()
+    schema = getattr(schema, "base_schema", schema)
+    if not isinstance(schema, pa.Schema):  # non-Arrow blocks: read one
+        schema = _to_arrow(ray.get(blocks[0][0])).schema
+    blocks = [(ref, n) for ref, n in blocks if n]
+    total = sum(n for _, n in blocks)
+    if not total:
+        return [(ray.put(schema.empty_table()), 0, 0)], schema, 0
+    slices = []
+    for ref, n in blocks:
+        k = max(1, min(n, round(n_parts * n / total)))
+        bounds = [n * i // k for i in range(k + 1)]
+        slices.extend((ref, lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return slices, schema, total
+
+
+def _to_arrow(block) -> pa.Table:
+    return block if isinstance(block, pa.Table) else BlockAccessor.for_block(block).to_arrow()
+
+
+def slice_table(block, offset: int, rows: int) -> pa.Table:
+    return _to_arrow(block).slice(offset, rows)
+
+
+def fetch(slices: Sequence[Slice]) -> pa.Table:
+    """The slices' rows as one driver-side table."""
+    blocks = ray.get([ref for ref, _, _ in slices])
+    return pa.concat_tables(
+        [slice_table(b, off, n) for b, (_, off, n) in zip(blocks, slices)]
+    )
+
+
+def _submit_bounded(submit: Callable, slices: Sequence[Slice]) -> list:
+    """``[submit(s) for s in slices]``, waiting before each submission while
+    two tasks per cluster CPU are unfinished.  ``submit`` returns one ref or
+    a list of refs that finish together."""
+    limit = 2 * cluster_cpus()
+    out: list = []
+    pending: list[ray.ObjectRef] = []
+    for s in slices:
+        if len(pending) >= limit:
+            _, pending = ray.wait(pending, num_returns=1, fetch_local=False)
+        refs = submit(s)
+        out.append(refs)
+        pending.append(refs[0] if isinstance(refs, list) else refs)
+    return out
+
+
+def _apply(fn: Callable, block, offset: int, rows: int, *args):
+    return fn(slice_table(block, offset, rows), *args)
+
+
+def _map_partition(map_fn: Callable, n_out: int, block, offset: int, rows: int):
+    t, bucket = map_fn(slice_table(block, offset, rows))
+    order = np.argsort(bucket, kind="stable")
+    t = t.take(pa.array(order))
+    bounds = np.searchsorted(bucket[order], np.arange(n_out + 1))
+    parts = [t.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return parts if n_out > 1 else parts[0]
+
+
+def _reduce_partition(reduce_fn: Callable, *parts: pa.Table) -> pa.Table:
+    return reduce_fn(pa.concat_tables(parts))
+
+
+_apply_task = ray.remote(_apply)
+_map_task = ray.remote(_map_partition)
+_reduce_task = ray.remote(_reduce_partition)
+
+
+def map_slices(fn: Callable, slices: Sequence[Slice], *args) -> list:
+    """``[fn(table, *args) for each slice]``, one task per slice."""
+    return ray.get(_submit_bounded(lambda s: _apply_task.remote(fn, *s, *args), slices))
+
+
+def exchange(
+    slices: Sequence[Slice],
+    map_fn: Callable[[pa.Table], tuple[pa.Table, np.ndarray]],
+    n_out: int,
+    reduce_fn: Callable[[pa.Table], pa.Table],
+) -> list[ray.ObjectRef]:
+    """Hash exchange: ``map_fn`` returns a table and each row's bucket in
+    ``[0, n_out)``; bucket j's rows from every slice, in slice order, are
+    concatenated and passed to ``reduce_fn``.  Returns the ``n_out`` reduce
+    output refs (not waited on).  Every map output must share one schema."""
+    mapper = _map_task.options(num_returns=n_out)
+    outs = _submit_bounded(lambda s: mapper.remote(map_fn, n_out, *s), slices)
+    if n_out == 1:
+        outs = [[o] for o in outs]
+    return [_reduce_task.remote(reduce_fn, *(o[j] for o in outs)) for j in range(n_out)]

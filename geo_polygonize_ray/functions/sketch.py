@@ -17,7 +17,21 @@ import pyarrow as pa
 import ray.data as rd
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
+# The estimator's exact register sum needs every register <= 53; registers
+# reach 64 - p + 1, so precisions below 12 cannot be estimated exactly.
+MIN_PRECISION = 12
+
+
+def _check_precision(p: int) -> None:
+    if p < MIN_PRECISION:
+        raise ValueError(
+            f"HyperLogLog precision p={p} is below {MIN_PRECISION}: registers "
+            f"reach 64 - p + 1 = {65 - p} > 53, which the exact register sum "
+            "cannot represent"
+        )
+
+
+def splitmix64(x: np.ndarray) -> np.ndarray:
     """Deterministic 64-bit mix (public splitmix64 constants)."""
     z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -28,7 +42,7 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 def hll_partial(values: np.ndarray, p: int = 12) -> np.ndarray:
     """One batch of int64 keys -> 2^p uint8 register maxima."""
     m = 1 << p
-    h = _splitmix64(np.asarray(values, dtype=np.int64).view(np.uint64))
+    h = splitmix64(np.asarray(values, dtype=np.int64).view(np.uint64))
     idx = (h >> np.uint64(64 - p)).astype(np.int64)
     rest = (h << np.uint64(p)) | np.uint64((1 << p) - 1)  # pad low bits with 1s
     # rho = leading zeros of `rest` + 1, vectorized via float exponent trick
@@ -48,6 +62,10 @@ def hll_merge(partials: list[np.ndarray]) -> np.ndarray:
 
 
 def hll_estimate(regs: np.ndarray, p: int = 12) -> float:
+    """Cardinality estimate from 2^p merged registers (p >= 12)."""
+    _check_precision(p)
+    if len(regs) != 1 << p:
+        raise ValueError(f"{len(regs)} registers do not match precision p={p}")
     m = float(len(regs))
     alpha = 0.7213 / (1 + 1.079 / m)
     # the register sum as the EXACT integer 2^53 * sum(2^-reg) (every term
@@ -67,7 +85,8 @@ def hll_estimate(regs: np.ndarray, p: int = 12) -> float:
 def approx_distinct(ds: rd.Dataset, column: str, p: int = 12) -> float:
     """Distributed approximate COUNT(DISTINCT column) for int64 columns:
     one 4 KiB sketch per batch, merged driver-side (mergeable => the merge
-    could equally run as a tree reduction on a cluster)."""
+    could equally run as a tree reduction on a cluster).  ``p`` >= 12."""
+    _check_precision(p)
 
     def partial(batch: pa.Table) -> pa.Table:
         vals = batch[column].to_numpy(zero_copy_only=False)

@@ -1,44 +1,59 @@
 """Distributed polygonization pipeline (SURVEY.md §7.1 step 4 / reference §3.3).
 
-Dataset-first expression of the reference's ``TiledPolygonizer``:
+Expression of the reference's ``TiledPolygonizer`` on a hash exchange of
+plain Ray tasks (functions/exchange.py), with no Ray Data all-to-all:
 
     linework Dataset (plane_id, line_id, xs, ys)
-      -> map_batches(SaltedTileAssigner)      # buffered-tile duplication (J5)
-      -> groupby(bucket of tile_id)           # THE shuffle (tiles bucketed to
-                                              # ~4x cores: Ray's per-group cost)
-      -> map_groups(TilePolygonizer)          # per-tile §3.1 (ST3); window-
-         [clip, sliver + ownership, A8]       # clipped so work is local
-      -> polygons Dataset
+      -> executed once into block refs, cut into ~n_cpus row slices
+      -> prepass tasks over the slices: bbox (if not given), per-tile
+         segment histogram -> hot-tile salt map
+      -> map task per slice: add_plane_key, explode_linework_to_segments,
+         SaltedSegmentAssigner.assign_and_clip (buffered-tile duplication
+         + window clip, J5), mixed bucket hash, argsort + slice into R parts
+      -> reduce task per bucket: concat its parts, TilePolygonizer (per-tile
+         §3.1 with ST3 clip, sliver + ownership, A8)
+      -> rd.from_arrow_refs(reduce outputs).materialize(): polygons Dataset
 
-The ownership rule makes the buffered duplication exactly-once: every
-polygon's centroid lies in exactly one half-open tile rect.  Correctness
-contract inherited from the reference (src/tiling.rs): the buffer must
-exceed the radius of the largest polygon; violations are detectable as
-distributed-vs-local mismatches (tested in tests/test_distributed.py).
+Untiled input runs the same exchange with whole linework rows and one cell
+per plane.  The ownership rule makes the buffered duplication exactly-once:
+every polygon's centroid lies in exactly one half-open tile rect.
+Correctness contract inherited from the reference (src/tiling.rs): the
+buffer must exceed the radius of the largest polygon; violations are
+detectable as distributed-vs-local mismatches (tests/test_distributed.py).
 
-Scale notes (100 TB thinking):
-  * the shuffle payload is the duplicated linework, never image bytes —
-    payload columns are dropped before the groupby (SURVEY.md §7.3);
-  * skewed tiles are handled by salting: a pre-pass counts rows per tile
-    and over-full tiles are split k x k (k from the count ratio, capped 8),
-    so no single tile's group explodes;
+Scale notes:
+  * the exchange payload is clipped fixed-width segments, never payload
+    columns — only plane_id/xs/ys are read by the map tasks (SURVEY.md §7.3);
+  * skewed tiles are handled by salting: the prepass counts segments per
+    tile and over-full tiles are split k x k (k from the count ratio,
+    capped 8), so no single reduce cell explodes;
   * per-tile compute is independent -> linear scaling with cores/nodes.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 
 import ray.data as rd
 
 from geo_polygonize_ray.config import PipelineConfig
+from geo_polygonize_ray.functions.exchange import (
+    Slice,
+    cluster_cpus,
+    dataset_slices,
+    exchange,
+    fetch,
+    map_slices,
+)
+from geo_polygonize_ray.functions.sketch import splitmix64
 from geo_polygonize_ray.local.polygonize import Polygon, polygonize_lines
 from geo_polygonize_ray.sources.fixtures import linework_table
 from geo_polygonize_ray.stages.linework import (
     SaltedSegmentAssigner,
-    SaltedTileAssigner,
-    TileAssigner,
     add_plane_key,
     explode_linework_to_segments,
     linework_bboxes,
@@ -50,27 +65,23 @@ from geo_polygonize_ray.stages.trace import (
 )
 
 
+def _slice_bbox(t: pa.Table) -> tuple[float, float, float, float]:
+    bminx, bminy, bmaxx, bmaxy = linework_bboxes(t)
+    if not len(bminx):
+        return (np.inf, np.inf, -np.inf, -np.inf)
+    return (float(bminx.min()), float(bminy.min()), float(bmaxx.max()), float(bmaxy.max()))
+
+
+def _slices_bbox(slices: list[Slice]) -> tuple[float, float, float, float]:
+    """Global bbox of the slices' linework, one task per slice (infinite
+    when there are no points)."""
+    boxes = np.array(map_slices(_slice_bbox, slices))
+    return (*boxes[:, :2].min(axis=0), *boxes[:, 2:].max(axis=0))
+
+
 def dataset_bbox(ds: rd.Dataset) -> tuple[float, float, float, float]:
-    """Global bbox of a linework Dataset via a tiny per-batch reduction."""
-
-    def batch_bbox(batch: pa.Table) -> pa.Table:
-        bminx, bminy, bmaxx, bmaxy = linework_bboxes(batch)
-        return pa.table(
-            {
-                "minx": [float(np.min(bminx))] if len(bminx) else [np.inf],
-                "miny": [float(np.min(bminy))] if len(bminy) else [np.inf],
-                "maxx": [float(np.max(bmaxx))] if len(bmaxx) else [-np.inf],
-                "maxy": [float(np.max(bmaxy))] if len(bmaxy) else [-np.inf],
-            }
-        )
-
-    parts = ds.map_batches(batch_bbox, batch_format="pyarrow").to_pandas()
-    return (
-        float(parts["minx"].min()),
-        float(parts["miny"].min()),
-        float(parts["maxx"].max()),
-        float(parts["maxy"].max()),
-    )
+    """Global bbox of a linework Dataset (executes its lineage once)."""
+    return _slices_bbox(dataset_slices(ds, cluster_cpus())[0])
 
 
 # --- skew salting (SURVEY.md §4.2, north_rule) -----------------------------
@@ -81,21 +92,19 @@ _SALT_AUTO_MULT = 4.0
 _SALT_AUTO_FLOOR = 512
 
 
-def _segment_tile_counts(ds: rd.Dataset, bbox, tile_size: float, buffer: float):
-    """STREAMING per-tile segment histogram: each batch reduces to at most
-    one row per occupied tile, summed on the driver — the driver holds
-    O(n_tiles), never O(rows), and nothing is pinned in the object store
-    (round-2 judge item #1: the round-2 version ``materialize()``d the whole
-    exploded segment table to feed this count).
+def segment_tile_counts(t: pa.Table, bbox, tile_size: float, buffer: float) -> pd.Series:
+    """Per-tile segment histogram of one linework table (tile_id -> count).
+    The prepass runs it as one task per input slice and sums the results on
+    the driver, which holds O(n_tiles), never O(rows).
 
     Counts are the EXACT buffered-bbox-overlap duplication counts the real
     assigner will produce (same tile-range formulas as ``TileAssigner``) —
-    i.e. the shuffle-group row sizes — computed per batch with a 2D
-    difference array (+1/-1 at the range corners, double cumsum), so no
-    row is ever duplicated: O(segments + n_tiles) per batch.  For grids
-    beyond ~4M cells the accumulator would dominate batch memory, so we
-    fall back to counting only each segment's bbox-CENTER tile (a skew
-    estimator; the 4x auto-threshold safety factor absorbs the error).
+    i.e. the exchange-bucket row sizes — computed with a 2D difference
+    array (+1/-1 at the range corners, double cumsum), so no row is ever
+    duplicated: O(segments + n_tiles) per table.  For grids beyond ~4M
+    cells the accumulator would dominate memory, so we fall back to counting
+    only each segment's bbox-CENTER tile (a skew estimator; the 4x
+    auto-threshold safety factor absorbs the error).
     """
     from geo_polygonize_ray.stages.linework import _list_bounds
 
@@ -105,76 +114,71 @@ def _segment_tile_counts(ds: rd.Dataset, bbox, tile_size: float, buffer: float):
     n_rows = max(int(np.ceil((maxy - miny) / ts)), 1)
     exact = n_rows * n_cols <= 4_000_000
 
-    def counts(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"tile_id": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-        )
-        if batch.num_rows == 0:
-            return empty
-        xs, xo = _list_bounds(batch["xs"])
-        ys, _ = _list_bounds(batch["ys"])
-        if len(xs) < 2:
-            return empty
-        # per consecutive-point-pair segment bboxes (pairs spanning a row
-        # boundary are masked out)
-        valid = np.ones(len(xs) - 1, dtype=bool)
-        cross = xo[1:-1] - 1
-        cross = cross[(cross >= 0) & (cross < len(valid))]
-        valid[cross] = False
-        sx0, sx1 = xs[:-1][valid], xs[1:][valid]
-        sy0, sy1 = ys[:-1][valid], ys[1:][valid]
-        # big batches: stride-sample the flattened segment stream and scale
-        # counts back up — the salting decision needs a skew ESTIMATE, and
-        # its threshold already carries a 4x safety factor (the judge-
-        # sanctioned "sample with a safety factor").  Keeps a serial
-        # single-block histogram at ~0.1s even for multi-million-segment
-        # inputs.
-        stride = 4 if len(sx0) > 200_000 else 1
-        if stride > 1:
-            sx0, sx1 = sx0[::stride], sx1[::stride]
-            sy0, sy1 = sy0[::stride], sy1[::stride]
-        bminx, bmaxx = np.minimum(sx0, sx1), np.maximum(sx0, sx1)
-        bminy, bmaxy = np.minimum(sy0, sy1), np.maximum(sy0, sy1)
-        # tile ranges — identical formulas to TileAssigner.__call__
-        c0 = np.clip(np.ceil((bminx - buf - minx) / ts - 1.0), 0, n_cols - 1).astype(np.int64)
-        c1 = np.clip(np.floor((bmaxx + buf - minx) / ts), 0, n_cols - 1).astype(np.int64)
-        r0 = np.clip(np.ceil((bminy - buf - miny) / ts - 1.0), 0, n_rows - 1).astype(np.int64)
-        r1 = np.clip(np.floor((bmaxy + buf - miny) / ts), 0, n_rows - 1).astype(np.int64)
-        if exact:
-            # corner scatter via bincount on flattened indices — np.add.at
-            # is unbuffered and ~20x slower at millions of updates
-            w = n_cols + 1
-            cells = (n_rows + 1) * w
-            acc = (
-                np.bincount(r0 * w + c0, minlength=cells)
-                - np.bincount(r0 * w + c1 + 1, minlength=cells)
-                - np.bincount((r1 + 1) * w + c0, minlength=cells)
-                + np.bincount((r1 + 1) * w + c1 + 1, minlength=cells)
-            ).reshape(n_rows + 1, w)
-            grid = acc.cumsum(axis=0).cumsum(axis=1)[:n_rows, :n_cols]
-            rr, cc = np.nonzero(grid)
-            return pa.table(
-                {
-                    "tile_id": rr * n_cols + cc,
-                    "n": (grid[rr, cc] * stride).astype(np.int64),
-                }
-            )
+    empty = pd.Series([], index=pd.Index([], dtype=np.int64, name="tile_id"), dtype=np.int64)
+    if t.num_rows == 0:
+        return empty
+    xs, xo = _list_bounds(t["xs"])
+    ys, _ = _list_bounds(t["ys"])
+    if len(xs) < 2:
+        return empty
+    # per consecutive-point-pair segment bboxes (pairs spanning a row
+    # boundary are masked out)
+    valid = np.ones(len(xs) - 1, dtype=bool)
+    cross = xo[1:-1] - 1
+    cross = cross[(cross >= 0) & (cross < len(valid))]
+    valid[cross] = False
+    sx0, sx1 = xs[:-1][valid], xs[1:][valid]
+    sy0, sy1 = ys[:-1][valid], ys[1:][valid]
+    # big tables: stride-sample the flattened segment stream and scale
+    # counts back up — the salting decision needs a skew ESTIMATE, and its
+    # threshold already carries a 4x safety factor.  Keeps one histogram
+    # task at ~0.1s even for multi-million-segment slices.
+    stride = 4 if len(sx0) > 200_000 else 1
+    if stride > 1:
+        sx0, sx1 = sx0[::stride], sx1[::stride]
+        sy0, sy1 = sy0[::stride], sy1[::stride]
+    bminx, bmaxx = np.minimum(sx0, sx1), np.maximum(sx0, sx1)
+    bminy, bmaxy = np.minimum(sy0, sy1), np.maximum(sy0, sy1)
+    # tile ranges — identical formulas to TileAssigner.__call__
+    c0 = np.clip(np.ceil((bminx - buf - minx) / ts - 1.0), 0, n_cols - 1).astype(np.int64)
+    c1 = np.clip(np.floor((bmaxx + buf - minx) / ts), 0, n_cols - 1).astype(np.int64)
+    r0 = np.clip(np.ceil((bminy - buf - miny) / ts - 1.0), 0, n_rows - 1).astype(np.int64)
+    r1 = np.clip(np.floor((bmaxy + buf - miny) / ts), 0, n_rows - 1).astype(np.int64)
+    if exact:
+        # corner scatter via bincount on flattened indices — np.add.at is
+        # unbuffered and ~20x slower at millions of updates
+        w = n_cols + 1
+        cells = (n_rows + 1) * w
+        acc = (
+            np.bincount(r0 * w + c0, minlength=cells)
+            - np.bincount(r0 * w + c1 + 1, minlength=cells)
+            - np.bincount((r1 + 1) * w + c0, minlength=cells)
+            + np.bincount((r1 + 1) * w + c1 + 1, minlength=cells)
+        ).reshape(n_rows + 1, w)
+        grid = acc.cumsum(axis=0).cumsum(axis=1)[:n_rows, :n_cols]
+        rr, cc = np.nonzero(grid)
+        tid, n = rr * n_cols + cc, grid[rr, cc]
+    else:
         cmid = (c0 + c1) // 2
         rmid = (r0 + r1) // 2
         tid, n = np.unique(rmid * n_cols + cmid, return_counts=True)
-        return pa.table({"tile_id": tid, "n": (n * stride).astype(np.int64)})
-
-    parts = ds.map_batches(counts, batch_format="pyarrow").to_pandas()
-    return parts.groupby("tile_id")["n"].sum() if len(parts) else parts
+    return pd.Series(
+        (n * stride).astype(np.int64), index=pd.Index(tid.astype(np.int64), name="tile_id")
+    )
 
 
 def compute_hot_tiles(
-    ds: rd.Dataset, bbox, cfg: PipelineConfig, return_threshold: bool = False
+    slices: list[Slice], bbox, cfg: PipelineConfig, return_threshold: bool = False
 ):
-    """Over-full base tiles -> salt factor k (2..8).  ``cfg.salt_threshold``:
-    None = auto threshold from the histogram, >0 = explicit count."""
-    counts = _segment_tile_counts(ds, bbox, cfg.tile_size, cfg.tile_buffer)
-    if counts is None or not len(counts):
+    """Over-full base tiles -> salt factor k (2..8), from the summed
+    ``segment_tile_counts`` of the input slices (one task per slice, over
+    the same block refs the exchange maps).  ``cfg.salt_threshold``: None =
+    auto threshold from the histogram, >0 = explicit count."""
+    parts = map_slices(
+        segment_tile_counts, slices, bbox, cfg.tile_size, cfg.tile_buffer
+    )
+    counts = pd.concat(parts).groupby(level=0).sum()
+    if not len(counts):
         return ({}, 0.0) if return_threshold else {}
     if cfg.salt_threshold is not None and cfg.salt_threshold > 0:
         thr = float(cfg.salt_threshold)
@@ -243,129 +247,103 @@ def polygonize_table_local(t: pa.Table, cfg: PipelineConfig | None = None) -> pa
     return pa.concat_tables(outs)
 
 
+def _exchange_bucket(t: pa.Table, n_buckets: int) -> np.ndarray:
+    """Bucket of each (plane_key, tile_id) row: a full 64-bit mix of both
+    keys, then the modulo.  Salted leaf ids are tile*64+sub and tile ids
+    are small, so any hash whose low output bits depend on few key bits
+    collapses them: the former multiply-and-shift hash sent 22 of 25 tiles
+    to 2 of 16 buckets."""
+    h = t["tile_id"].to_numpy().astype(np.uint64)
+    if "plane_key" in t.schema.names:
+        h = h ^ splitmix64(t["plane_key"].to_numpy().view(np.uint64))
+    return (splitmix64(h) % np.uint64(n_buckets)).astype(np.int64)
+
+
+def _untiled_map(cols: list[str], n_buckets: int, t: pa.Table):
+    """Exchange map side, untiled: whole linework rows, one cell per plane."""
+    t = add_plane_key(t.select(cols))
+    t = t.append_column("tile_id", pa.array(np.zeros(t.num_rows, dtype=np.int64)))
+    return t, _exchange_bucket(t, n_buckets)
+
+
+def _tiled_map(cols: list[str], assigner: SaltedSegmentAssigner, n_buckets: int, t: pa.Table):
+    """Exchange map side, tiled: explode linework to FIXED-WIDTH segments,
+    then duplicate each segment to every (salted) tile whose buffered window
+    it meets and clip the copy to that window, so the exchange carries
+    ~48 B/row window-sized pieces instead of whole (possibly tile-spanning)
+    linestrings (SURVEY.md §1.3: segments are the hot payload)."""
+    t = add_plane_key(t.select(cols))
+    t = explode_linework_to_segments(t)
+    t = assigner.assign_and_clip(t)
+    return t, _exchange_bucket(t, n_buckets)
+
+
 def polygonize_dataset(
     ds: rd.Dataset,
     cfg: PipelineConfig | None = None,
     bbox: tuple[float, float, float, float] | None = None,
     hot: dict[int, int] | None = None,
 ) -> rd.Dataset:
-    """linework Dataset -> polygons Dataset (POLYGON_SCHEMA).
+    """linework Dataset -> polygons Dataset (POLYGON_SCHEMA, plus plane_key
+    when the input has plane_id).
 
-    ``hot``: precomputed hot-tile salt map.  The default (None) runs the
-    streaming histogram pre-pass over ``ds``'s lineage; callers whose
-    upstream lineage is EXPENSIVE (e.g. mosaic's seam groupby) should pass
-    a map computed off a checkpoint — or ``{}`` to opt out — so the
-    pre-pass does not execute the whole upstream DAG a second time
-    (round-3 ADVICE, pipelines/polygonize.py:297).
+    ``ds``'s lineage executes once: the bbox and salting histogram tasks
+    read the same block refs as the exchange's map tasks.  The result is a
+    materialized Dataset over the reduce tasks' output tables (one block
+    per reduce task).  ``hot``:
+    precomputed hot-tile salt map; None runs the histogram prepass, ``{}``
+    opts out of salting.
     """
     cfg = cfg or PipelineConfig(node_input=True)
+    n_cpus = cluster_cpus()
+    slices, schema, n_rows = dataset_slices(ds, n_cpus)
 
-    has_plane = "plane_id" in ds.schema().names
-
-    if not cfg.tiled() and cfg.local_fastpath_rows and ds.count() <= cfg.local_fastpath_rows:
+    if not cfg.tiled() and cfg.local_fastpath_rows and n_rows <= cfg.local_fastpath_rows:
         # small-input fast path: run in-process (see PipelineConfig note),
         # through the same vectorized flat-assembly path as the tracer
-        t = pa.concat_tables(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
-        return rd.from_arrow(polygonize_table_local(t, cfg))
+        return rd.from_arrow(polygonize_table_local(fetch(slices), cfg))
 
+    # map tasks read only these columns: payload never enters the exchange
+    cols = [c for c in ("plane_id", "xs", "ys") if c in schema.names]
     if not cfg.tiled():
-        # untiled: one logical tile per PLANE; still expressed as the same
-        # group pipeline so the code path is identical.  Multi-plane input
-        # parallelizes across planes (each is an independent graph).
-        tiler_kwargs = dict(
+        # untiled: one logical tile per PLANE, each an independent graph;
+        # multi-plane input parallelizes across planes
+        n_buckets = cfg.n_buckets or (max(2, n_cpus * 2) if "plane_id" in cols else 1)
+        map_fn = functools.partial(_untiled_map, cols, n_buckets)
+        tracer = TilePolygonizer(
             assigner=None,
             node_input=cfg.node_input,
             snap_grid_size=cfg.snap_grid_size,
             max_noding_iters=cfg.max_noding_iters,
             ownership=False,
         )
-
-        def untiled_keys(t: pa.Table) -> pa.Table:
-            t = add_plane_key(t)
-            t = t.append_column("tile_id", pa.array(np.zeros(t.num_rows, dtype=np.int64)))
-            if "plane_key" in t.schema.names:
-                pk = t["plane_key"].to_numpy().view(np.uint64)
-                b = ((pk * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)) % np.uint64(64)
-                bucket = b.astype(np.int64)
-            else:
-                bucket = np.zeros(t.num_rows, dtype=np.int64)
-            return t.append_column("bucket", pa.array(bucket))
-
-        ds = ds.map_batches(untiled_keys, batch_format="pyarrow")
-        return ds.groupby("bucket").map_groups(
-            TilePolygonizer(**tiler_kwargs), batch_format="pyarrow"
+    else:
+        if bbox is None:
+            bbox = _slices_bbox(slices)
+            if not np.all(np.isfinite(bbox)):  # no points at all
+                bbox = (0.0, 0.0, 0.0, 0.0)
+        if hot is None:
+            hot = {}
+            if cfg.salt_threshold is None or cfg.salt_threshold > 0:
+                hot = compute_hot_tiles(slices, bbox, cfg)
+        assigner = SaltedSegmentAssigner(bbox, cfg.tile_size, cfg.tile_buffer, hot=hot)
+        # bucket of tiles, not raw tile_id: one reduce task per bucket, each
+        # still polygonizing its (plane, tile) cells independently
+        n_tiles = assigner.n_cols * assigner.n_rows
+        n_buckets = cfg.n_buckets or max(2, min(n_tiles, n_cpus * 4))
+        map_fn = functools.partial(_tiled_map, cols, assigner, n_buckets)
+        tracer = TilePolygonizer(
+            assigner,
+            node_input=True,  # per-tile noding, src/tiling.rs:62-63
+            snap_grid_size=cfg.snap_grid_size,
+            max_noding_iters=cfg.max_noding_iters,
+            ownership=True,
         )
-
-    if bbox is None:
-        bbox = dataset_bbox(ds)
-    keep_cols = [c for c in ("plane_id", "line_id", "xs", "ys") if c in ds.schema().names]
-    ds = ds.select_columns(keep_cols)  # never shuffle payload columns
-    import ray
-
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
-    # spread the SLIM input across blocks BEFORE tile assignment: a
-    # from_arrow/local table arrives as one block, which would serialize the
-    # whole assignment stage into a single task (and a later repartition
-    # would move the already-duplicated rows — strictly more bytes)
-    # Skew pre-pass (streaming partial aggregates; see compute_hot_tiles).
-    # Runs on the PRE-repartition lineage so it never re-executes the
-    # repartition: for a single-block input the (stride-sampled) histogram
-    # is one ~0.1s task; for a 100 TB parquet source it parallelizes over
-    # the read blocks.  Nothing is pinned in the object store — the main
-    # pipeline re-reads its own lineage (round-2 judge item #1).
-    if hot is None:
-        hot = {}
-        if cfg.salt_threshold is None or cfg.salt_threshold > 0:
-            hot = compute_hot_tiles(ds, bbox, cfg)
-
-    ds = ds.repartition(max(2, n_cpus * 2))
-    if has_plane:
-        # int64 plane key replaces the plane_id string before the exchange;
-        # the shuffle key becomes (plane_key, tile_id) so overlapping planes
-        # stay separate graphs (reference: one Polygonizer per plane)
-        ds = ds.map_batches(add_plane_key, batch_format="pyarrow")
-
-    # explode linework to FIXED-WIDTH segments before assignment: each
-    # duplicated (segment, tile) copy is clipped to its tile window
-    # map-side, so the all-to-all exchange carries ~48 B/row pieces instead
-    # of whole (possibly tile-spanning) linestrings — the decisive shuffle-
-    # bandwidth lever at scale (SURVEY.md §1.3: segments are the hot payload)
-    ds = ds.map_batches(explode_linework_to_segments, batch_format="pyarrow")
-
-    assigner = SaltedSegmentAssigner(bbox, cfg.tile_size, cfg.tile_buffer, hot=hot)
-    ds = ds.map_batches(
-        assigner.assign_and_clip, batch_format="pyarrow", batch_size=cfg.batch_size
-    )
-    # Shuffle key = bucket of tiles, NOT raw tile_id: Ray pays a per-group
-    # Python overhead in map_groups, so thousands of tiles are folded into
-    # ~4x cores buckets and split back apart inside the tracer (which still
-    # polygonizes each tile independently).
-    n_tiles = assigner.n_cols * assigner.n_rows
-    n_buckets = cfg.n_buckets or max(2, min(n_tiles, n_cpus * 4))
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        # MIX the key before the modulo: salted leaf ids are tile*64+sub, so
-        # a bare `% n_buckets` collapses onto multiples of gcd(64, n_buckets)
-        # (measured: the whole trace stage ran in 2 buckets = 5x regression)
-        tid = t["tile_id"].to_numpy().astype(np.uint64)
-        mixed = tid * np.uint64(0x9E3779B97F4A7C15)
-        if "plane_key" in t.schema.names:
-            pk = t["plane_key"].to_numpy().view(np.uint64)
-            mixed = mixed ^ (pk * np.uint64(0xC2B2AE3D27D4EB4F))
-        b = ((mixed >> np.uint64(33)) % np.uint64(n_buckets)).astype(np.int64)
-        return t.append_column("bucket", pa.array(b))
-
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
-    ds = ds.repartition(cfg.n_output_partitions or max(2, min(n_buckets, n_cpus * 2)))
-    tracer = TilePolygonizer(
-        assigner,
-        node_input=True,  # per-tile noding, src/tiling.rs:62-63
-        snap_grid_size=cfg.snap_grid_size,
-        max_noding_iters=cfg.max_noding_iters,
-        ownership=True,
-    )
-    out = ds.groupby("bucket").map_groups(tracer, batch_format="pyarrow")
-    return out
+    # materialize(): consuming an already-executed plan starts no streaming
+    # executor.  The executor's reference cycle would keep every output
+    # block in the object store until Python's cyclic GC runs (measured:
+    # driver and worker peak RSS grew ~1 MB per job instead of levelling).
+    return rd.from_arrow_refs(exchange(slices, map_fn, n_buckets, tracer)).materialize()
 
 
 def polygonize_lines_distributed(

@@ -379,7 +379,7 @@ def polygonize_dataset_adaptive(
 
         def add_bucket(t: pa.Table, _nb=n_buckets) -> pa.Table:
             # mixed hash, not bare modulo: leaf ids are tile*64+sub (see
-            # pipelines/polygonize.py add_bucket for the collapse this avoids)
+            # pipelines/polygonize.py _exchange_bucket for the collapse)
             tid = t["tile_id"].to_numpy().astype(np.uint64)
             mixed = tid * np.uint64(0x9E3779B97F4A7C15)
             return t.append_column(

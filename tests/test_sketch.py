@@ -33,6 +33,24 @@ class TestHLLLocal:
         est = hll_estimate(hll_partial(vals))
         assert abs(est - 1000) / 1000 < 0.05
 
+    @pytest.mark.parametrize("p", [4, 10, 11])
+    def test_low_precision_rejected(self, p):
+        """Below p=12 a register can reach 64 - p + 1 > 53, where the exact
+        register sum would take a negative shift; both entry points refuse
+        such a p with a message naming the precision."""
+        regs = np.zeros(1 << p, dtype=np.uint8)
+        regs[0] = 64 - p + 1  # the largest register hll_partial can emit
+        with pytest.raises(ValueError, match="precision p="):
+            hll_estimate(regs, p)
+        with pytest.raises(ValueError, match="precision p="):
+            hll_estimate(hll_partial(np.arange(1000, dtype=np.int64), p), p)
+        with pytest.raises(ValueError, match="precision p="):
+            approx_distinct(None, "k", p)
+
+    def test_precision_12_accepted(self):
+        est = hll_estimate(hll_partial(np.arange(1000, dtype=np.int64), 12), 12)
+        assert abs(est - 1000) / 1000 < 0.05
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestHLLDistributed:
