@@ -270,11 +270,11 @@ def mosaic_polygonize(
     """image table -> global mosaic linework (interior + seam join) ->
     exact polygonize -> polygons Dataset (may span images).
 
-    ``spill_dir``: directory for the linework checkpoint.  It must OUTLIVE
-    the returned (lazy) Dataset — consume the result before deleting it.
-    When None a fresh ``tempfile.mkdtemp`` directory is used and is NOT
-    cleaned up by this function (round-3 ADVICE, mosaic.py:229); pass an
-    owned directory to control the lifetime.
+    ``spill_dir``: directory for the linework checkpoint.  It is read only
+    during this call: the returned Dataset is materialized in the object
+    store, so the directory may be deleted as soon as this returns.  When
+    None a fresh ``tempfile.mkdtemp`` directory is used and is NOT cleaned
+    up by this function; pass an owned directory to control the lifetime.
 
     ``local_rows_threshold``: max checkpointed linework rows for the
     driver-local exact polygonize (default ``_MOSAIC_LOCAL_ROWS``); larger
@@ -396,9 +396,7 @@ def mosaic_polygonize(
     from geo_polygonize_ray.stages.stitch import polygonize_dataset_adaptive
 
     linework = lines.union(seam_lines)
-    return polygonize_dataset_adaptive(
-        linework, cfg, bbox=bbox, spill_dir=os.path.join(spill, "stitch")
-    )
+    return polygonize_dataset_adaptive(linework, cfg, bbox=bbox)
 
 
 def assemble_mosaic_labels(image_table_path: str, n_cols: int, n_rows: int) -> np.ndarray:

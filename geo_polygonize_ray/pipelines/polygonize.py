@@ -79,11 +79,6 @@ def _slices_bbox(slices: list[Slice]) -> tuple[float, float, float, float]:
     return (*boxes[:, :2].min(axis=0), *boxes[:, 2:].max(axis=0))
 
 
-def dataset_bbox(ds: rd.Dataset) -> tuple[float, float, float, float]:
-    """Global bbox of a linework Dataset (executes its lineage once)."""
-    return _slices_bbox(dataset_slices(ds, cluster_cpus())[0])
-
-
 # --- skew salting (SURVEY.md §4.2, north_rule) -----------------------------
 # AUTO threshold: 4x the mean occupied-tile segment count, floored so tiles
 # whose absolute work is trivial (sub-millisecond trace) are never

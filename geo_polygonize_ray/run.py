@@ -93,10 +93,9 @@ def _run(args) -> int:
         ds = rd.read_parquet(args.input)
 
     if args.adaptive:
-        from geo_polygonize_ray.pipelines.polygonize import dataset_bbox
         from geo_polygonize_ray.stages.stitch import polygonize_dataset_adaptive
 
-        out_ds = polygonize_dataset_adaptive(ds, cfg, bbox=dataset_bbox(ds))
+        out_ds = polygonize_dataset_adaptive(ds, cfg)
     else:
         from geo_polygonize_ray.pipelines.polygonize import polygonize_dataset
 

@@ -47,24 +47,36 @@ still-active tile finishes globally exact.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-
+import ray
 import ray.data as rd
 
 from geo_polygonize_ray.config import PipelineConfig
+from geo_polygonize_ray.functions.exchange import (
+    cluster_cpus,
+    dataset_slices,
+    exchange,
+    map_slices,
+)
+from geo_polygonize_ray.local.graph import PlanarGraph
 from geo_polygonize_ray.local.noding import SnapNoder
 from geo_polygonize_ray.local.polygonize import (
     assemble_flat,
     dedup_linestrings,
     explode_to_segments,
 )
-from geo_polygonize_ray.local.graph import PlanarGraph
-from geo_polygonize_ray.stages.linework import SaltedTileAssigner, _SALT_SUBS
+from geo_polygonize_ray.pipelines.polygonize import _exchange_bucket, _slices_bbox
+from geo_polygonize_ray.stages.linework import (
+    _SALT_SUBS,
+    SaltedTileAssigner,
+    add_plane_key,
+    linework_bboxes,
+)
 from geo_polygonize_ray.stages.trace import POLYGON_SCHEMA, flat_to_table
-from geo_polygonize_ray.stages.linework import _list_bounds
 
 RESOLVE_SCHEMA = POLYGON_SCHEMA.append(pa.field("resolved", pa.bool_()))
 
@@ -85,7 +97,6 @@ class EscalatingTilePolygonizer:
         self.max_noding_iters = max_noding_iters
         # the round-0 buffer: every tile is guaranteed to have run with it
         self.base_buffer = assigner.buffer if base_buffer is None else float(base_buffer)
-        self.__name__ = "EscalatingTilePolygonizer"
 
     def __call__(self, group: pa.Table) -> pa.Table:
         has_plane = "plane_key" in group.schema.names
@@ -244,10 +255,61 @@ def _bbox_in_window(bbox: tuple[float, float, float, float], w) -> bool:
     return bbox[0] > w[0] and bbox[1] > w[1] and bbox[2] < w[2] and bbox[3] < w[3]
 
 
+def _prefilter(t: pa.Table, windows) -> pa.Table:
+    """Rows whose bbox meets at least one of the (wx0, wy0, wx1, wy1) windows."""
+    if windows is None or t.num_rows == 0:
+        return t
+    wx0, wy0, wx1, wy1 = windows
+    bminx, bminy, bmaxx, bmaxy = linework_bboxes(t)
+    hit = (
+        (bminx[:, None] <= wx1)
+        & (bmaxx[:, None] >= wx0)
+        & (bminy[:, None] <= wy1)
+        & (bmaxy[:, None] >= wy0)
+    ).any(axis=1)
+    return t.filter(pa.array(hit))
+
+
+def _prefiltered_rows(t: pa.Table, windows) -> int:
+    return _prefilter(t, windows).num_rows
+
+
+def _round_map(cols, assigner, windows, keep, n_buckets, t: pa.Table):
+    """Exchange map side of one round: whole linework rows near the active
+    windows, duplicated to every buffered tile they meet, restricted to the
+    active tiles (``keep``; None in round 0)."""
+    t = assigner(_prefilter(add_plane_key(t.select(cols)), windows))
+    if keep is not None and t.num_rows:
+        t = t.filter(pa.array(np.isin(t["tile_id"].to_numpy(), keep)))
+    return t, _exchange_bucket(t, n_buckets)
+
+
+def _round_verdicts(t: pa.Table) -> tuple[np.ndarray, pa.Table]:
+    """One reduce output's escalation evidence: the tiles with an unresolved
+    verdict, and the witness rows (tile_id = owner leaf, bbox in shell_xs /
+    shell_ys).  The polygon payload stays in the object store."""
+    pid = t["poly_id"].to_numpy()
+    bad = (pid >= _CUT_SENTINEL) & ~t["resolved"].to_numpy()
+    wit = t.filter(pa.array(pid == _WITNESS)).select(["tile_id", "shell_xs", "shell_ys"])
+    return np.unique(t["tile_id"].to_numpy()[bad]), wit
+
+
+def _final_polys(t: pa.Table, superseded: np.ndarray) -> pa.Table:
+    """A round's polygon rows, minus the tiles a later round ran again."""
+    t = _keep_polys(t)
+    if len(superseded) and t.num_rows:
+        t = t.filter(pa.array(~np.isin(t["tile_id"].to_numpy(), superseded)))
+    return t
+
+
+_verdicts_task = ray.remote(_round_verdicts)
+_final_polys_task = ray.remote(_final_polys)
+
+
 def polygonize_dataset_adaptive(
     ds: rd.Dataset,
     cfg: PipelineConfig,
-    bbox: tuple[float, float, float, float],
+    bbox: tuple[float, float, float, float] | None = None,
     max_rounds: int = 4,
     spill_dir: str | None = None,
     _round_input_counts: list | None = None,
@@ -260,18 +322,23 @@ def polygonize_dataset_adaptive(
     permitted round forces buffer >= span so it is globally exact.  Each
     tile's final contribution is its LAST round's output (supersede), which
     makes re-running a previously-resolved tile safe (no duplicates).
+    ``bbox=None`` derives the bbox from the input.
 
-    Scale shape (round-2 judge item #4): rounds 1+ PRE-FILTER the input by
-    bbox-intersects-active-windows before tile assignment, so a late round
-    touching a handful of tiles reads ~those tiles' linework, not the whole
-    input; and each round's polygon payload is checkpointed to parquet under
-    ``spill_dir`` (default: a fresh /tmp dir) instead of being pinned in the
-    object store — only the small verdict/witness pulls hit the driver.  The
-    returned Dataset lazily reads the round checkpoints, so ``spill_dir``
-    must outlive its consumption; the caller owns its cleanup (the default
-    tempfile dir accumulates in /tmp otherwise — polygon-sized, so reruns
-    at scale should pass an explicit spill_dir and clean or reuse it; a
-    reused dir's per-round subdirs are swept before rewrite).
+    Scale shape: ``ds`` executes once into block refs cut into ~n_cpus row
+    slices (functions/exchange.py), and every round is one hash exchange of
+    plain Ray tasks over those same slices.  Rounds 1+ pre-filter each slice
+    by bbox-intersects-active-windows before tile assignment, so a late
+    round touching a handful of tiles assigns ~those tiles' linework, not
+    the whole input.  Each round's reduce outputs (polygons plus verdict and
+    witness rows) stay in the object store as refs; one small task per ref
+    sends the driver only the unresolved tile ids and the witness rows.  At
+    the end one task per ref keeps the polygon rows of each tile's last
+    round, and the result is a materialized Dataset over those refs.  Every
+    round's output is held in the object store until the job returns (Ray
+    spills objects to disk under memory pressure).
+
+    ``spill_dir`` is unused: nothing is written to disk.  It stays in the
+    signature because ``polybench/workloads.py`` still passes it.
 
     Documented limitation: the adaptive path runs UNSALTED (hot={}) — its
     per-round window bookkeeping and witness routing key on unsalted leaf
@@ -279,30 +346,22 @@ def polygonize_dataset_adaptive(
     buffer should use a smaller tile_size (more, lighter tiles) instead;
     group-count overhead stays bounded by the ~4x-cores bucketing.
     """
-    import glob as _glob
-    import os
-    import tempfile
-
-    import ray
-
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
-    keep_cols = [c for c in ("plane_id", "line_id", "xs", "ys") if c in ds.schema().names]
-    base = ds.select_columns(keep_cols)
-    if "plane_id" in keep_cols:
-        from geo_polygonize_ray.stages.linework import add_plane_key
-
-        base = base.map_batches(add_plane_key, batch_format="pyarrow")
+    n_cpus = cluster_cpus()
+    slices, schema, n_rows = dataset_slices(ds, n_cpus)
+    # map tasks read only these columns: payload never enters the exchange
+    cols = [c for c in ("plane_id", "xs", "ys") if c in schema.names]
+    if bbox is None:
+        bbox = _slices_bbox(slices)
+        if not np.all(np.isfinite(bbox)):  # no points at all
+            bbox = (0.0, 0.0, 0.0, 0.0)
 
     span = max(bbox[2] - bbox[0], bbox[3] - bbox[1])
     buffer0 = max(cfg.tile_buffer, cfg.tile_size / 2.0)
-    if spill_dir is None:
-        spill_dir = tempfile.mkdtemp(prefix="gpr_stitch_")
 
     active: set[int] | None = None  # None = all tiles in round 0
     ran_buf: dict[int, float] = {}  # tile -> buffer of its LAST run (absent => buffer0)
     pending: dict[int, set[tuple]] = {}  # tile -> witness bboxes not yet covered
-    round_outputs: list[rd.Dataset] = []
-    round_tiles_ran: list[set[int] | None] = []
+    rounds: list[tuple[list, set[int] | None]] = []  # (reduce refs, tiles ran)
 
     geom = SaltedTileAssigner(bbox, cfg.tile_size, 0.0, hot={})
 
@@ -321,207 +380,81 @@ def polygonize_dataset_adaptive(
             buf = max(buf, span)  # last permitted round is globally exact
         final_round = buf >= span
         assigner = SaltedTileAssigner(bbox, cfg.tile_size, buf, hot={})
-        tiles_this_round = active
 
-        def assign(batch: pa.Table, _assigner=assigner, _keep=tiles_this_round) -> pa.Table:
-            t = _assigner(batch)
-            if _keep is not None and t.num_rows:
-                mask = np.isin(t["tile_id"].to_numpy(), list(_keep))
-                t = t.filter(pa.array(mask))
-            return t
-
-        # rounds 1+: pre-filter the input to rows whose bbox intersects an
-        # active tile's buffered window BEFORE assignment — a late round
-        # with a handful of active tiles scans ~their linework, not the
-        # whole input.  Skipped when nearly everything is active (the
-        # rows x windows test would cost more than it saves).
-        src = base
-        if tiles_this_round is not None and 0 < len(tiles_this_round) <= 4096:
-            from geo_polygonize_ray.stages.linework import linework_bboxes
-
-            leaf = np.fromiter(tiles_this_round, dtype=np.int64)
-            wx0, wy0, wx1, wy1 = assigner.leaf_rects(leaf)
-            wx0, wy0, wx1, wy1 = wx0 - buf, wy0 - buf, wx1 + buf, wy1 + buf
-
-            def prefilter(batch: pa.Table) -> pa.Table:
-                if batch.num_rows == 0:
-                    return batch
-                bminx, bminy, bmaxx, bmaxy = linework_bboxes(batch)
-                hit = (
-                    (bminx[:, None] <= wx1)
-                    & (bmaxx[:, None] >= wx0)
-                    & (bminy[:, None] <= wy1)
-                    & (bmaxy[:, None] >= wy0)
-                ).any(axis=1)
-                return batch.filter(pa.array(hit))
-
-            src = base.map_batches(prefilter, batch_format="pyarrow")
+        # rounds 1+: keep only the active tiles, and pre-filter the input to
+        # rows whose bbox intersects an active tile's buffered window BEFORE
+        # assignment.  The pre-filter is skipped when nearly everything is
+        # active (the rows x windows test would cost more than it saves).
+        keep = windows = None
+        if active is not None:
+            keep = np.array(sorted(active), dtype=np.int64)
+            if len(keep) <= 4096:
+                wx0, wy0, wx1, wy1 = assigner.leaf_rects(keep)
+                windows = (wx0 - buf, wy0 - buf, wx1 + buf, wy1 + buf)
 
         if _round_input_counts is not None:
-            # test-only observability (costs an extra pass): rows actually
-            # entering this round's assignment — the judge-visible evidence
-            # that round 2+ cost tracks ACTIVE tiles, not input size.
-            # Recorded as (rows, ran_at_global_buffer): global-buffer rounds
-            # (the exactness guarantee and any delivery rounds handing
-            # globally-traced faces to their owner tiles) necessarily scan
-            # the full input, and the scan-locality property only applies
-            # to the non-global rounds.
-            _round_input_counts.append((src.count(), bool(final_round)))
+            # test-only observability (costs an extra pass over the slices):
+            # rows actually entering this round's assignment, recorded as
+            # (rows, ran_at_global_buffer).  Global-buffer rounds (the
+            # exactness guarantee and any delivery rounds) necessarily scan
+            # the full input; scan locality applies to the other rounds.
+            rows = n_rows
+            if windows is not None:
+                rows = sum(map_slices(_prefiltered_rows, slices, windows))
+            _round_input_counts.append((rows, bool(final_round)))
 
-        work = src.map_batches(assign, batch_format="pyarrow")
-        n_buckets = max(2, n_cpus * 4)
-        n_parts = max(2, n_cpus * 2)
-        if tiles_this_round is not None:
-            # a late round touching a handful of tiles doesn't need a
-            # cluster-wide shuffle fan-out; size the exchange to the work
-            n_buckets = max(2, min(n_buckets, 2 * len(tiles_this_round)))
-            n_parts = max(2, min(n_parts, len(tiles_this_round)))
-
-        def add_bucket(t: pa.Table, _nb=n_buckets) -> pa.Table:
-            # mixed hash, not bare modulo: leaf ids are tile*64+sub (see
-            # pipelines/polygonize.py _exchange_bucket for the collapse)
-            tid = t["tile_id"].to_numpy().astype(np.uint64)
-            mixed = tid * np.uint64(0x9E3779B97F4A7C15)
-            return t.append_column(
-                "bucket",
-                pa.array(((mixed >> np.uint64(33)) % np.uint64(_nb)).astype(np.int64)),
-            )
-
-        work = work.map_batches(add_bucket, batch_format="pyarrow")
-        work = work.repartition(n_parts)
+        n_tiles = geom.n_cols * geom.n_rows if keep is None else len(keep)
+        n_buckets = max(2, min(n_tiles, 4 * n_cpus))
         tracer = EscalatingTilePolygonizer(
             assigner, cfg.snap_grid_size, cfg.max_noding_iters, base_buffer=buffer0
         )
-        # checkpoint the round's (polygons + verdict/witness rows) to parquet
-        # and re-read lazily: the polygon payload streams to disk with
-        # backpressure instead of being pinned in the object store for the
-        # life of the loop; verdict/witness pulls below are small column
-        # scans over the checkpoint.
-        round_dir = os.path.join(spill_dir, f"round-{r}")
-        if os.path.isdir(round_dir):
-            # a REUSED spill_dir (rerun after a crash): write_parquet appends
-            # uniquely-named files, so stale files from the previous run
-            # would be read back as duplicates — sweep first
-            import shutil
-
-            shutil.rmtree(round_dir)
-        work.groupby("bucket").map_groups(tracer, batch_format="pyarrow").write_parquet(
-            round_dir
-        )
-        files = _glob.glob(os.path.join(round_dir, "*.parquet"))
-        out = rd.read_parquet(files) if files else None
-
-        if out is not None:
-            round_outputs.append(out.map_batches(_keep_polys, batch_format="pyarrow"))
-        else:
-            round_outputs.append(None)
-        round_tiles_ran.append(tiles_this_round)
+        map_fn = functools.partial(_round_map, cols, assigner, windows, keep, n_buckets)
+        refs = exchange(slices, map_fn, n_buckets, tracer)
+        rounds.append((refs, active))
 
         # record this round's runs (round 0 runs every tile implicitly)
-        if tiles_this_round is not None:
-            for t_id in tiles_this_round:
+        if active is not None:
+            for t_id in active:
                 ran_buf[t_id] = buf
 
-        # small-metadata pull: per-tile verdicts + witness rows, read
-        # DIRECTLY from the round checkpoint with pyarrow column scans —
-        # two extra Ray executions per round were pure fixed overhead
-        # (empty-safe: an escalation round can legitimately produce ZERO
-        # rows).  The checkpoint is on shared storage by construction (the
-        # main output re-reads it too).
-        import pyarrow.dataset as pads
+        verdicts = ray.get([_verdicts_task.remote(ref) for ref in refs])
+        # a global-window run is exact by construction; verdicts (e.g.
+        # cut_risk from TRUE dangles) no longer indicate missing faces
+        unresolved: set[int] = set()
+        if not final_round:
+            unresolved = set(np.concatenate([u for u, _ in verdicts]).tolist())
 
-        meta_small = (
-            pads.dataset(files).to_table(columns=["tile_id", "poly_id", "resolved"])
-            if files
-            else None
-        )
-        if final_round or meta_small is None:
-            # a global-window run is exact by construction; verdicts (e.g.
-            # cut_risk from TRUE dangles) no longer indicate missing faces
-            unresolved = set()
-        else:
-            verd = meta_small.filter(
-                pc.greater_equal(meta_small["poly_id"], _CUT_SENTINEL)
-            ).to_pandas()
-            if len(verd):
-                verd = verd.groupby("tile_id", as_index=False).agg(resolved=("resolved", "all"))
-                unresolved = set(verd.loc[~verd["resolved"], "tile_id"].astype(int))
-            else:
-                unresolved = set()
-
-        has_witness = meta_small is not None and bool(
-            pc.any(pc.equal(meta_small["poly_id"], _WITNESS)).as_py()
-        )
-        wit = (
-            pads.dataset(files)
-            .to_table(
-                columns=["tile_id", "shell_xs", "shell_ys", "resolved"],
-                filter=pads.field("poly_id") == _WITNESS,
-            )
-            .to_pandas()
-            if has_witness
-            else []
-        )
-        if len(wit) and "tile_id" in wit.columns:
-            for row in wit.itertuples():
-                c = int(row.tile_id)
-                bb = (row.shell_xs[0], row.shell_ys[0], row.shell_xs[1], row.shell_ys[1])
-                # suppress if C's last-run window strictly contains the bbox:
-                # C then provably held ALL linework in that region and judged
-                # it with its own (strictly stronger) evidence
-                if _bbox_in_window(bb, _window_of(c, ran_buf.get(c, buffer0))):
-                    continue
-                pending.setdefault(c, set()).add(bb)
+        wit = pa.concat_tables([w for _, w in verdicts])
+        for c, xs, ys in zip(
+            wit["tile_id"].to_pylist(), wit["shell_xs"].to_pylist(), wit["shell_ys"].to_pylist()
+        ):
+            bb = (xs[0], ys[0], xs[1], ys[1])
+            # suppress if C's last-run window strictly contains the bbox:
+            # C then provably held ALL linework in that region and judged
+            # it with its own (strictly stronger) evidence
+            if _bbox_in_window(bb, _window_of(c, ran_buf.get(c, buffer0))):
+                continue
+            pending.setdefault(c, set()).add(bb)
 
         # clear pending witnesses now covered by this round's runs
         for t_id in list(pending):
-            if tiles_this_round is None or t_id in tiles_this_round:
+            if active is None or t_id in active:
                 w = _window_of(t_id, ran_buf.get(t_id, buffer0))
                 pending[t_id] = {bb for bb in pending[t_id] if not _bbox_in_window(bb, w)}
                 if not pending[t_id]:
                     del pending[t_id]
 
         active = unresolved | set(pending)
-        import os
-
-        if os.environ.get("GPR_STITCH_DEBUG"):
-            print(
-                f"[stitch r{r}] buf={buf} rows={out.count() if out is not None else 0}"
-                f" unresolved={sorted(unresolved)[:12]}"
-                f" pending={ {k: len(v) for k, v in pending.items()} } active={len(active)}"
-            )
         if not active:
             break
 
     # supersede: each tile contributes from the LAST round it ran
-    n_r = len(round_outputs)
-    results: list[rd.Dataset] = []
-    for r in range(n_r):
-        if round_outputs[r] is None:  # round produced zero rows
-            continue
-        later: set[int] = set()
-        for s in range(r + 1, n_r):
-            if round_tiles_ran[s] is not None:
-                later |= round_tiles_ran[s]
-        if later:
-
-            def drop_superseded(t: pa.Table, _later=frozenset(later)) -> pa.Table:
-                if not t.num_rows:
-                    return t
-                mask = ~np.isin(t["tile_id"].to_numpy(), list(_later))
-                return t.filter(pa.array(mask))
-
-            results.append(
-                round_outputs[r].map_batches(drop_superseded, batch_format="pyarrow")
-            )
-        else:
-            results.append(round_outputs[r])
-
-    if not results:
-        from geo_polygonize_ray.stages.trace import POLYGON_SCHEMA
-
-        return rd.from_arrow(POLYGON_SCHEMA.empty_table())
-    res = results[0]
-    for more in results[1:]:
-        res = res.union(more)
-    return res
+    outputs: list = []
+    later: set[int] = set()
+    for refs, ran in reversed(rounds):
+        superseded = np.array(sorted(later), dtype=np.int64)
+        outputs[:0] = [_final_polys_task.remote(ref, superseded) for ref in refs]
+        later |= ran or set()
+    # materialize(): see polygonize_dataset (an unexecuted plan's streaming
+    # executor would pin the output blocks until Python's cyclic GC)
+    return rd.from_arrow_refs(outputs).materialize()

@@ -1,5 +1,7 @@
 """Adaptive buffer escalation (J6 replacement): polygons larger than the
-initial tile buffer are still produced exactly."""
+initial tile buffer are still produced exactly.  The escalation rounds run
+on the plain-task exchange: no Ray Data all-to-all, no parquet spill, and
+the input lineage executes once per job."""
 
 import numpy as np
 import pyarrow as pa
@@ -11,10 +13,40 @@ from geo_polygonize_ray.config import PipelineConfig
 from geo_polygonize_ray.local import polygonize_lines
 from geo_polygonize_ray.sources.fixtures import grid_lines, linework_table
 from geo_polygonize_ray.stages.stitch import polygonize_dataset_adaptive
+from geo_polygonize_ray.stages.trace import POLYGON_SCHEMA
 
 
 def ls(*pts):
     return np.array(pts, dtype=np.float64)
+
+
+def square_sides(s):
+    """An s x s square at the origin as four separate side linestrings."""
+    return [ls((0, 0), (s, 0)), ls((s, 0), (s, s)), ls((s, s), (0, s)), ls((0, s), (0, 0))]
+
+
+def split_blocks(table: pa.Table, n: int) -> rd.Dataset:
+    bounds = np.linspace(0, table.num_rows, n + 1).astype(int)
+    return rd.from_arrow([table.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+def consume(ds: rd.Dataset) -> pa.Table:
+    """All rows, as a polybench job consumes them (an all-empty Dataset
+    yields no batches: its schema stands in)."""
+    batches = list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+    return pa.concat_tables(batches) if batches else ds.schema().base_schema.empty_table()
+
+
+def area_holes(t: pa.Table) -> list:
+    return sorted(
+        (round(a, 6), int(h)) for a, h in zip(t["area"].to_numpy(), t["n_holes"].to_numpy())
+    )
+
+
+def local_area_holes(lines) -> list:
+    return sorted(
+        (round(p.area, 6), len(p.holes_x)) for p in polygonize_lines(lines, node_input=True)
+    )
 
 
 def poly_keys(df):
@@ -89,12 +121,7 @@ class TestAdaptiveEscalation:
         centroid-routed witnesses it resolves vacuously and the 6400-area
         polygon is silently lost; an escalation round with zero output rows
         also used to crash the verdict groupby."""
-        sides = [
-            ls((0, 0), (80, 0)),
-            ls((80, 0), (80, 80)),
-            ls((80, 80), (0, 80)),
-            ls((0, 80), (0, 0)),
-        ]
+        sides = square_sides(80)
         local = polygonize_lines(sides, node_input=True)
         assert len(local) == 1 and round(local[0].area, 6) == 6400.0
         cfg = PipelineConfig(tile_size=10.0, tile_buffer=1.0)
@@ -118,3 +145,74 @@ class TestAdaptiveEscalation:
             round(p.area, 6) for p in local
         )
         assert sorted(out["n_holes"]) == sorted(len(p.holes_x) for p in local)
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestStitchExchange:
+    def test_no_all_to_all_or_spill_in_stats_tree(self):
+        sq = lambda a, b: ls((a, a), (b, a), (b, b), (a, b), (a, a))
+        lines = grid_lines(8) + [sq(0.5, 7.5)]
+        cfg = PipelineConfig(tile_size=2.0, tile_buffer=0.5)
+        out = polygonize_dataset_adaptive(rd.from_arrow(linework_table(lines)), cfg)
+        assert area_holes(consume(out)) == local_area_holes(lines)
+        todo, names = [out._plan.stats()], []
+        while todo:
+            st = todo.pop()
+            todo.extend(st.parents)
+            names.extend(st.metadata)
+        assert names
+        for op in ("Repartition", "Sort", "MapGroups", "Aggregate", "Write", "ReadParquet", "Union"):
+            assert not any(op in n for n in names), names
+            assert op not in out.stats()
+
+    def test_input_lineage_executes_once_across_rounds(self, tmp_path):
+        """The 80x80 ring from four sides needs several rounds; an upstream
+        UDF still runs once per input block (no per-round re-execution, and
+        the bbox comes from the same slices)."""
+        log = tmp_path / "calls"
+
+        def tag(batch: pa.Table) -> pa.Table:
+            with open(log, "a") as f:
+                f.write("x\n")
+            return batch
+
+        table = linework_table(square_sides(80))
+        ds = split_blocks(table, 3).map_batches(tag, batch_format="pyarrow", batch_size=None)
+        counts: list = []
+        cfg = PipelineConfig(tile_size=10.0, tile_buffer=1.0)
+        out = consume(
+            polygonize_dataset_adaptive(ds, cfg, max_rounds=6, _round_input_counts=counts)
+        )
+        assert area_holes(out) == [(6400.0, 0)]
+        assert len(counts) >= 2, counts
+        assert log.read_text().count("x") == 3
+
+    def test_many_blocks_match_local(self):
+        sq = lambda a, b: ls((a, a), (b, a), (b, b), (a, b), (a, a))
+        lines = grid_lines(16) + [sq(0.5, 15.5), sq(3.25, 12.75)] + square_sides(16)
+        cfg = PipelineConfig(tile_size=4.0, tile_buffer=1.0)
+        ds = split_blocks(linework_table(lines), 7)
+        assert ds.num_blocks() == 7
+        out = consume(polygonize_dataset_adaptive(ds, cfg, bbox=(0, 0, 16, 16)))
+        assert area_holes(out) == local_area_holes(lines)
+
+    @pytest.mark.parametrize("with_plane", [True, False])
+    def test_empty_input(self, with_plane):
+        table = linework_table([])
+        want = POLYGON_SCHEMA
+        if with_plane:
+            want = want.append(pa.field("plane_key", pa.int64()))
+        else:
+            table = table.drop_columns(["plane_id"])
+        cfg = PipelineConfig(tile_size=5.0, tile_buffer=1.0)
+        out = consume(polygonize_dataset_adaptive(rd.from_arrow(table), cfg))
+        assert out.num_rows == 0
+        assert out.schema.names == want.names
+        assert [f.type for f in out.schema] == [f.type for f in want]
+
+    def test_spill_dir_unused(self, tmp_path):
+        cfg = PipelineConfig(tile_size=10.0, tile_buffer=1.0)
+        ds = rd.from_arrow(linework_table(square_sides(40)))
+        out = consume(polygonize_dataset_adaptive(ds, cfg, spill_dir=str(tmp_path)))
+        assert area_holes(out) == [(1600.0, 0)]
+        assert list(tmp_path.iterdir()) == []
