@@ -22,11 +22,6 @@ import subprocess
 import sys
 import time
 
-# BEFORE any ray.init: installs the schema-preserving Ray shims and exports
-# the worker-preload env vars so every worker (including the cold ones that
-# run the first job's sort tasks) starts patched — see compat.py
-import geo_polygonize_ray  # noqa: F401
-
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 # defaults fit the host: the CPUs this process may run on
 AFFINITY_CPUS = len(os.sched_getaffinity(0))

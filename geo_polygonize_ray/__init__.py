@@ -11,22 +11,19 @@ columns) such an engine needs at 100 TB scale.
 Layout:
     geom/       vectorized numpy geometry kernels (reference src/utils/*)
     local/      per-partition planar-graph polygonizer (reference src/graph,
-                src/noding, src/polygonizer.rs) — the per-cell worker payload
+                src/noding, src/polygonizer.rs) — the per-cell reduce-task
+                payload
     raster/     from-scratch image codecs, phash, raster<->vector conversion
     sources/    table readers/writers, fixture generators, GeoJSON I/O
-    stages/     map_batches / map_groups stage callables
+    stages/     map_batches stage callables and exchange map/reduce functions
+    functions/  the plain-task hash exchange, joins and groupbys on it,
+                sketches, layouts
     pipelines/  end-to-end Dataset pipelines (flagship image pipeline,
                 distributed tiled polygonize, text/dedup/ANN/relational)
     state/      per-partition checkpoint manifest + resume
 """
 
-from geo_polygonize_ray import compat as _compat
 from geo_polygonize_ray.config import PipelineConfig
-
-# schema-preserving empty-block shims for the pinned Ray (see compat.py):
-# installed before any Dataset is built so every exchange in the engine
-# keeps typed empty blocks
-_compat.apply()
 
 __all__ = ["PipelineConfig"]
 __version__ = "0.1.0"

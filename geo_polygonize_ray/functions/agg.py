@@ -1,48 +1,97 @@
-"""Hash-bucketed aggregation — the high-cardinality groupby pattern.
+"""Hash-partitioned joins and groupbys on the plain-task exchange.
 
-Ray Data's ``groupby(key).aggregate(...)`` pays a per-GROUP Python overhead
-(~2.7 ms/group in Ray 2.49 regardless of shuffle strategy), which makes a
-15k-key aggregate take ~40 s.  The scalable pattern — and the one a 100 TB
-pipeline needs anyway to bound shuffle partition sizes — is:
-
-  1. map-side: add ``_bucket = hash(key) % B`` (B ~ 2x cores, LOW cardinality)
-  2. ONE shuffle on ``_bucket``
-  3. per-bucket: the actual per-key aggregation runs in pandas (C speed)
-     inside ``map_groups``
-
-Every key lands in exactly one bucket, so per-key results are exact.  Skew:
-a single hot key cannot be split by this scheme (same as any hash
+Every all-to-all here is one ``functions.exchange.exchange``: each input
+Dataset executes once into row slices, its map tasks hash a key into
+``exchange_buckets()`` buckets (two per cluster CPU), and one reduce task
+per bucket runs the per-key work in pandas (C speed) on that bucket's rows.
+Every key lands in exactly one bucket, so per-key results are exact.
+Skew: a single hot key cannot be split by this scheme (same as any hash
 partitioning); callers with known-hot keys should pre-aggregate map-side
-first (see relational.q1) so the shuffle carries partials, not rows.
+first (see relational.q1) so the exchange carries partials, not rows.
+
+Inputs are exchanged side by side, never unioned: a join's two sides keep
+their own columns, and a multi-input groupby's reduce concatenates the
+inputs' rows only inside the bucket.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import functools
+from collections.abc import Callable, Sequence
 
+import numpy as np
 import pandas as pd
-
+import pyarrow as pa
+import ray
 import ray.data as rd
 
-DEFAULT_BUCKETS = 64
+from geo_polygonize_ray.functions.exchange import (
+    cluster_cpus,
+    dataset_slices,
+    exchange,
+    exchange_buckets,
+)
+from geo_polygonize_ray.functions.sketch import splitmix64
+
+# keyed map fn: table -> (table to ship, one uint64 key hash per row)
+KeyedFn = Callable[[pa.Table], tuple[pa.Table, np.ndarray]]
 
 
-def join_partitions(floor: int = 8, per_cpu: float = 1.0) -> int:
-    """Hash-join partition count derived from the CLUSTER, not a constant
-    (round-3 judge item #2): ~``per_cpu`` partitions per cluster CPU with a
-    small floor so tiny local sessions keep probe-side parallelism.  On a
-    256-node cluster this scales the join shuffle with the machine instead
-    of capping it at a laptop-sized 8."""
-    try:
-        import ray
-
-        n_cpus = int(ray.cluster_resources().get("CPU", floor)) if ray.is_initialized() else floor
-    except Exception:
-        n_cpus = floor
-    return max(floor, int(n_cpus * per_cpu))
+def _route(keyed_fn: KeyedFn, n_out: int, t: pa.Table) -> tuple[pa.Table, np.ndarray]:
+    t, h = keyed_fn(t)
+    return t, (h % np.uint64(n_out)).astype(np.int64)
 
 
-_FILL = {"int64": 0, "float64": float("nan"), "object": ""}
+def shuffle(
+    inputs: Sequence[tuple[rd.Dataset, KeyedFn]], reduce_fn: Callable[..., object]
+) -> tuple[list[ray.ObjectRef], list[ray.ObjectRef]]:
+    """One exchange over every (Dataset, keyed map fn) input; rows with
+    equal key hashes meet in one reduce task, which gets one table per
+    input.  Returns the reduce output refs and their row-count refs."""
+    n_out = exchange_buckets()
+    n_parts = cluster_cpus()
+    sides = [
+        (dataset_slices(ds, n_parts)[0], functools.partial(_route, fn, n_out))
+        for ds, fn in inputs
+    ]
+    return exchange(sides, n_out, reduce_fn)
+
+
+def to_dataset(exchanged: tuple[list[ray.ObjectRef], list[ray.ObjectRef]]) -> rd.Dataset:
+    """The non-empty Arrow reduce outputs of an exchange as one materialized
+    Dataset (one empty output when all are empty).  Empty buckets carry no
+    rows, and leaving them out keeps pandas' typing of empty frames (an
+    object column becomes null) out of the result."""
+    refs, rows = exchanged
+    kept = [ref for ref, n in zip(refs, ray.get(rows)) if n] or refs[:1]
+    return rd.from_arrow_refs(kept).materialize()
+
+
+def key_groups(t: pa.Table, key: str) -> list[pa.Table]:
+    """``t``'s rows grouped by equal ``key`` (in key order, rows in their
+    order within a group); an empty ``t`` is one empty group."""
+    k = t[key].to_numpy()
+    order = np.argsort(k, kind="stable")
+    t, k = t.take(pa.array(order)), k[order]
+    bounds = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1), len(k)]
+    return [t.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+_ARROW_TYPES = {"int64": pa.int64(), "float64": pa.float64()}
+
+
+def _join_side(key: str, cols: dict[str, str], t: pa.Table) -> tuple[pa.Table, np.ndarray]:
+    if not t.num_rows:  # an all-empty input may carry another stage's columns, or none
+        t = pa.table({c: pa.array([], _ARROW_TYPES.get(dt, pa.string())) for c, dt in cols.items()})
+    t = t.select(list(cols))
+    t = t.cast(pa.schema([(c, _ARROW_TYPES.get(dt, t.schema.field(c).type)) for c, dt in cols.items()]))
+    return t, splitmix64(t[key].to_numpy().view(np.uint64))
+
+
+def _merge_bucket(on, right_on, out_cols, post, lt: pa.Table, rt: pa.Table) -> pa.Table:
+    m = lt.to_pandas().merge(rt.to_pandas(), left_on=on, right_on=right_on, how="inner")
+    m = m[out_cols]
+    return pa.Table.from_pandas(post(m) if post is not None else m, preserve_index=False)
 
 
 def hash_join(
@@ -53,115 +102,75 @@ def hash_join(
     right_on: str,
     left_cols: dict[str, str],
     right_cols: dict[str, str],
-    n_buckets: int | None = None,
     post: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
 ) -> rd.Dataset:
-    """Distributed inner hash join as ONE co-partitioned shuffle.
+    """Distributed inner hash join as ONE exchange.
 
-    Round-5 replacement for ``ray.data.Dataset.join``: Ray 2.49's acero-based
-    hash join nondeterministically fails on chained joins when empty
-    schema-less blocks reach ``HashShuffleAggregator.finalize`` ("No match or
-    multiple matches for key field reference ...", CORRECTNESS_r04
-    q3_top_orders / minhash_dedup_groups).  This implementation uses the same
-    machinery as every other green exchange in the engine (the asof-join /
-    bucketed_groupby pattern): both sides are padded to one explicit common
-    schema map-side, tagged with ``_side`` and ``_bucket = knuth(key) % B``,
-    unioned, shuffled ONCE by bucket, and merged per bucket in pandas at C
-    speed.  Every key lives in exactly one bucket, so the join is exact; all
-    blocks are constructed with explicit dtypes, so no stage can emit a
-    schema-less empty block.
+    Each side's map tasks ship only that side's columns, typed as declared,
+    bucketed by a splitmix64 hash of the (integral) join key; each reduce
+    task merges its bucket's two sides in pandas.  Every key lives in
+    exactly one bucket, so the join is exact.
 
     ``left_cols`` / ``right_cols``: ``{column: dtype}`` for every column of
     each side (disjoint names; dtypes in {"int64", "float64", "object"}).
-    Join keys must be integral.  ``post``, if given, runs per bucket on the
-    merged rows — a join whose downstream groupby key equals (or functionally
-    depends on) the join key can fuse its aggregation into the same shuffle.
+    ``post``, if given, runs per bucket on the merged rows — a join whose
+    downstream groupby key equals (or functionally depends on) the join key
+    can fuse its aggregation into the same exchange.
     """
-    # bucket count follows the CLUSTER (>= 2 per CPU) so the per-bucket
-    # merge parallelism scales with the machine instead of capping at a
-    # laptop-sized 64; empty buckets are typed no-ops post-compat, so
-    # over-provisioning on small inputs costs only empty groups
-    n_buckets = n_buckets or max(DEFAULT_BUCKETS, join_partitions(per_cpu=2.0))
     assert not (set(left_cols) & set(right_cols)), "join sides must have disjoint columns"
-    all_cols = {**left_cols, **right_cols}
-    out_cols = list(all_cols)
-
-    def _prep(side: int, key: str, own: dict[str, str]):
-        import numpy as np
-
-        def prep(batch: pd.DataFrame) -> pd.DataFrame:
-            n = len(batch)
-            data = {}
-            for c, dt in all_cols.items():
-                if c in own:
-                    data[c] = batch[c].to_numpy() if dt == "object" else batch[c].to_numpy(dt)
-                elif dt == "object":
-                    data[c] = np.full(n, "", dtype=object)
-                else:
-                    data[c] = np.full(n, _FILL[dt], dtype=dt)
-            k = batch[key].to_numpy(np.int64)
-            data["_side"] = np.full(n, side, dtype=np.int8)
-            data["_bucket"] = ((k * 2654435761) % 4294967296) % n_buckets
-            out = pd.DataFrame(data)
-            return out.astype({c: dt for c, dt in all_cols.items()}, copy=False)
-
-        prep.__name__ = f"hash_join_prep_{'left' if side == 0 else 'right'}"
-        return prep
-
-    tagged = left.map_batches(_prep(0, on, left_cols), batch_format="pandas").union(
-        right.map_batches(_prep(1, right_on, right_cols), batch_format="pandas")
+    exchanged = shuffle(
+        [
+            (left, functools.partial(_join_side, on, left_cols)),
+            (right, functools.partial(_join_side, right_on, right_cols)),
+        ],
+        functools.partial(_merge_bucket, on, right_on, [*left_cols, *right_cols], post),
     )
+    return to_dataset(exchanged)
 
-    lcols = list(left_cols)
-    rcols = list(right_cols)
 
-    def _empty() -> pd.DataFrame:
-        base = pd.DataFrame({c: pd.Series([], dtype=dt) for c, dt in all_cols.items()})
-        return post(base) if post is not None else base
+def _hash_keys(key_cols: list[str], t: pa.Table) -> tuple[pa.Table, np.ndarray]:
+    if not t.num_rows:  # as in _join_side
+        return t, np.zeros(0, np.uint64)
+    return t, pd.util.hash_pandas_object(t.select(key_cols).to_pandas(), index=False).to_numpy()
 
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lm = g["_side"].to_numpy() == 0
-        lg = g.loc[lm, lcols]
-        rg = g.loc[~lm, rcols]
-        if not len(lg) or not len(rg):
-            return _empty()
-        m = lg.merge(rg, left_on=on, right_on=right_on, how="inner")[out_cols]
-        return post(m) if post is not None else m
 
-    return (
-        tagged.groupby("_bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-    )
+def _per_bucket(per_key_fn, *tables: pa.Table) -> pa.Table:
+    frames = [t.to_pandas() for t in tables if t.num_rows]
+    if frames:
+        out = per_key_fn(pd.concat(frames, ignore_index=True))
+        return pa.Table.from_pandas(out, preserve_index=False)
+    try:  # typed like a non-empty bucket, for an all-empty result
+        return pa.Table.from_pandas(per_key_fn(tables[0].to_pandas()), preserve_index=False)
+    except KeyError:  # as in _join_side
+        return tables[0]
 
 
 def bucketed_groupby(
-    ds: rd.Dataset,
+    ds: rd.Dataset | Sequence[rd.Dataset],
     key_cols: list[str] | str,
     per_key_fn: Callable[[pd.DataFrame], pd.DataFrame],
-    n_buckets: int = DEFAULT_BUCKETS,
 ) -> rd.Dataset:
-    """Exact per-key aggregation via low-cardinality hash bucketing.
+    """Exact per-key aggregation via hash bucketing.
 
     ``per_key_fn`` receives one bucket's rows (a pandas DataFrame containing
-    every row of every key hashing into the bucket, ``_bucket`` column
-    already dropped) and must itself group by the key column(s) and return
-    the per-key result rows.
+    every row of every key hashing into the bucket, from every input
+    Dataset when ``ds`` is a list) and must itself group by the key
+    column(s) and return the per-key result rows.
     """
     if isinstance(key_cols, str):
         key_cols = [key_cols]
+    inputs = [ds] if isinstance(ds, rd.Dataset) else list(ds)
+    keyed = functools.partial(_hash_keys, key_cols)
+    return to_dataset(shuffle([(d, keyed) for d in inputs], functools.partial(_per_bucket, per_key_fn)))
 
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(batch[key_cols], index=False).to_numpy()
-        batch = batch.copy()
-        batch["_bucket"] = (h % n_buckets).astype("int64")
-        return batch
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        return per_key_fn(group.drop(columns=["_bucket"]))
+def top_k(ds: rd.Dataset, by: list[str], descending: list[bool], k: int) -> pd.DataFrame:
+    """The first ``k`` rows of ``ds`` ordered by ``by``: a top-k per batch
+    on the workers, then the top-k of those survivors on the driver (no
+    global sort).  Rows equal on every ``by`` column keep input order."""
+    asc = [not d for d in descending]
 
-    per_bucket.__name__ = getattr(per_key_fn, "__name__", "per_bucket")
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    def head(df: pd.DataFrame) -> pd.DataFrame:
+        return df.sort_values(by, ascending=asc, kind="stable").head(k)
+
+    return head(ds.map_batches(head, batch_format="pandas").to_pandas()).reset_index(drop=True)

@@ -10,7 +10,13 @@ Arrow tables needs only three kinds of task:
                    (histograms, bounding boxes: same refs, no re-execution)
       map tasks    map_fn(slice) -> (table, bucket); stable argsort by
                    bucket, one Arrow slice per bucket (num_returns=R)
-      reduce tasks one per bucket: concat its R parts, reduce_fn(table)
+      reduce tasks one per bucket: per input, concat its parts;
+                   reduce_fn(table per input); a second return carries
+                   the output's row count
+
+An exchange may have several inputs, each with its own slices and map_fn
+(the two sides of a join): their rows never share a table, so no input is
+padded to another's schema.
 
 Ray's Arrow serializer ships only the rows of a sliced table, so a map
 task's R outputs together cost one copy of its table.  The number of map
@@ -37,6 +43,11 @@ Slice = tuple[ray.ObjectRef, int, int]
 
 def cluster_cpus() -> int:
     return int(ray.cluster_resources().get("CPU", 1))
+
+
+def exchange_buckets() -> int:
+    """Reduce-task count of a keyed exchange: two per cluster CPU."""
+    return 2 * cluster_cpus()
 
 
 def dataset_slices(ds: rd.Dataset, n_parts: int) -> tuple[list[Slice], pa.Schema, int]:
@@ -83,14 +94,14 @@ def fetch(slices: Sequence[Slice]) -> pa.Table:
     )
 
 
-def _submit_bounded(submit: Callable, slices: Sequence[Slice]) -> list:
-    """``[submit(s) for s in slices]``, waiting before each submission while
+def _submit_bounded(submit: Callable, items: Sequence) -> list:
+    """``[submit(s) for s in items]``, waiting before each submission while
     two tasks per cluster CPU are unfinished.  ``submit`` returns one ref or
     a list of refs that finish together."""
     limit = 2 * cluster_cpus()
     out: list = []
     pending: list[ray.ObjectRef] = []
-    for s in slices:
+    for s in items:
         if len(pending) >= limit:
             _, pending = ray.wait(pending, num_returns=1, fetch_local=False)
         refs = submit(s)
@@ -112,13 +123,21 @@ def _map_partition(map_fn: Callable, n_out: int, block, offset: int, rows: int):
     return parts if n_out > 1 else parts[0]
 
 
-def _reduce_partition(reduce_fn: Callable, *parts: pa.Table) -> pa.Table:
-    return reduce_fn(pa.concat_tables(parts))
+def _concat(parts: Sequence[pa.Table]) -> pa.Table:
+    """Zero-row parts are left out, so an empty slice whose map output has
+    another schema cannot fail the concat."""
+    return pa.concat_tables([p for p in parts if p.num_rows] or list(parts[:1]))
+
+
+def _reduce_partition(reduce_fn: Callable, n_parts: Sequence[int], *parts: pa.Table):
+    bounds = np.cumsum([0, *n_parts])
+    out = reduce_fn(*(_concat(parts[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])))
+    return out, len(out)
 
 
 _apply_task = ray.remote(_apply)
 _map_task = ray.remote(_map_partition)
-_reduce_task = ray.remote(_reduce_partition)
+_reduce_task = ray.remote(num_returns=2)(_reduce_partition)
 
 
 def map_slices(fn: Callable, slices: Sequence[Slice], *args) -> list:
@@ -127,17 +146,21 @@ def map_slices(fn: Callable, slices: Sequence[Slice], *args) -> list:
 
 
 def exchange(
-    slices: Sequence[Slice],
-    map_fn: Callable[[pa.Table], tuple[pa.Table, np.ndarray]],
+    inputs: Sequence[tuple[Sequence[Slice], Callable[[pa.Table], tuple[pa.Table, np.ndarray]]]],
     n_out: int,
-    reduce_fn: Callable[[pa.Table], pa.Table],
-) -> list[ray.ObjectRef]:
-    """Hash exchange: ``map_fn`` returns a table and each row's bucket in
-    ``[0, n_out)``; bucket j's rows from every slice, in slice order, are
-    concatenated and passed to ``reduce_fn``.  Returns the ``n_out`` reduce
-    output refs (not waited on).  Every map output must share one schema."""
+    reduce_fn: Callable[..., pa.Table],
+) -> tuple[list[ray.ObjectRef], list[ray.ObjectRef]]:
+    """Hash exchange over ``inputs``, each a (slices, map_fn) pair:
+    ``map_fn`` returns a table and each row's bucket in ``[0, n_out)``.
+    Reduce task j calls ``reduce_fn`` with one table per input: bucket j's
+    rows from every slice of that input, in slice order.  Returns the
+    ``n_out`` reduce output refs and refs to their row counts (not waited
+    on).  The map outputs of one input must share one schema."""
     mapper = _map_task.options(num_returns=n_out)
-    outs = _submit_bounded(lambda s: mapper.remote(map_fn, n_out, *s), slices)
+    jobs = [(map_fn, s) for slices, map_fn in inputs for s in slices]
+    outs = _submit_bounded(lambda job: mapper.remote(job[0], n_out, *job[1]), jobs)
     if n_out == 1:
         outs = [[o] for o in outs]
-    return [_reduce_task.remote(reduce_fn, *(o[j] for o in outs)) for j in range(n_out)]
+    n_parts = [len(slices) for slices, _ in inputs]
+    reduced = [_reduce_task.remote(reduce_fn, n_parts, *(o[j] for o in outs)) for j in range(n_out)]
+    return [out for out, _ in reduced], [rows for _, rows in reduced]

@@ -253,7 +253,7 @@ def bucket_aggregate(
     bucket's complete rows."""
     m = read_layout_manifest(path)
     n = int(m["n_buckets"])
-    ids = rd.from_items([{"bucket": b} for b in range(n)]).repartition(n)
+    ids = rd.from_items([{"bucket": b} for b in range(n)], override_num_blocks=n)
     return ids.map_batches(
         _BucketAggregator(path, per_key_fn, cols), batch_format="pyarrow", batch_size=1
     )
@@ -288,6 +288,6 @@ def bucket_join(
             f"{rm['n_buckets']}/{rm['hash']} — rebuild one side"
         )
     n = int(lm["n_buckets"])
-    ids = rd.from_items([{"bucket": b} for b in range(n)]).repartition(n)
+    ids = rd.from_items([{"bucket": b} for b in range(n)], override_num_blocks=n)
     joiner = _BucketJoiner(left_path, right_path, left_on, right_on, how, left_cols, right_cols)
     return ids.map_batches(joiner, batch_format="pyarrow", batch_size=1)

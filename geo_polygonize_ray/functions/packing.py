@@ -3,7 +3,7 @@ fixed-capacity context windows, the standard LLM pre-training step that
 turns ragged documents into dense training sequences.
 
 Packing is inherently order-sequential, so the distributed shape is:
-hash-bucket the corpus (ONE shuffle, same key reused by dedup), then pack
+hash-bucket the corpus (ONE exchange, same key reused by dedup), then pack
 each bucket independently in deterministic ``id`` order.  Bucket packing
 is exact next-fit; the only cross-bucket loss is <=1 partially-filled tail
 window per bucket, i.e. utilization loss O(n_buckets / n_windows) — nil at
@@ -22,6 +22,9 @@ import pandas as pd
 import pyarrow as pa
 
 import ray.data as rd
+
+from geo_polygonize_ray.functions.agg import key_groups, shuffle
+from geo_polygonize_ray.functions.sketch import splitmix64
 
 
 def pack_bucket_lengths(lengths: np.ndarray, capacity: int) -> np.ndarray:
@@ -53,16 +56,15 @@ def pack_documents(
     total_len, utilization, doc_ids``.  ``pack_id`` is globally unique
     (bucket-prefixed) and stable across runs and cluster sizes."""
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
+    def add_bucket(batch: pa.Table) -> tuple[pa.Table, np.ndarray]:
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         b = (ids * 2654435761 % 4294967296) % n_buckets
-        return batch.select([id_col, len_col]).append_column(
-            "_bucket", pa.array(b, pa.int64())
-        )
+        t = batch.select([id_col, len_col]).append_column("_bucket", pa.array(b, pa.int64()))
+        return t, splitmix64(b.view(np.uint64))
 
     def pack_one_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
-            # typed empty: an empty shuffle partition must keep its schema
+            # typed empty: an empty reduce task keeps the output schema
             return pd.DataFrame(
                 {
                     "bucket": pd.Series([], dtype=np.int64),
@@ -94,8 +96,11 @@ def pack_documents(
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(pack_one_bucket, batch_format="pandas")
-    )
+    def pack_buckets(t: pa.Table) -> pd.DataFrame:
+        return pd.concat(
+            [pack_one_bucket(g.to_pandas()) for g in key_groups(t, "_bucket")], ignore_index=True
+        )
+
+    # pandas blocks keep doc_ids a column of Python lists
+    refs, _ = shuffle([(ds, add_bucket)], pack_buckets)
+    return rd.from_pandas_refs(refs).materialize()

@@ -3,8 +3,8 @@
 From-scratch reimplementation of the reference's arena graph
 (reference src/graph/planar_graph.rs:40-59): node coords are columnar
 (nodes_x / nodes_y), adjacency is CSR, half-edges are parallel arrays.  This
-object is *never* global in the Ray engine — one instance is built inside a
-``map_groups`` / actor call from one spatial cell's segment batch
+object is *never* global in the Ray engine — one instance is built inside an
+exchange reduce task / actor call from one spatial cell's segment batch
 (SURVEY.md §1.3), which is exactly why segments are cell-partitioned.
 
 Semantics replicated exactly:

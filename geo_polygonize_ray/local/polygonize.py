@@ -10,9 +10,9 @@ reference's phase sequence (src/polygonizer.rs:112-262):
   4. trace edge rings        7. assign holes to min-area containing shell
                              8. assemble + sliver filter
 
-The distributed pipeline (pipelines/polygonize.py) shuffles linework by
-spatial cell and runs this inside ``map_groups`` actors, then applies the
-centroid-ownership filter (reference src/tiling.rs:99-106).
+The distributed pipeline (pipelines/polygonize.py) hash-exchanges linework
+by spatial cell and runs this inside the exchange's reduce tasks, then
+applies the centroid-ownership filter (reference src/tiling.rs:99-106).
 """
 
 from __future__ import annotations

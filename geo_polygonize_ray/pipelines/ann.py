@@ -20,7 +20,8 @@ import pyarrow as pa
 
 import ray
 
-
+from geo_polygonize_ray.functions.agg import key_groups, shuffle
+from geo_polygonize_ray.functions.sketch import splitmix64
 from geo_polygonize_ray.pipelines.relational import _read, r4
 
 
@@ -310,7 +311,7 @@ def embedding_near_dup(
     sf_dir: str, threshold: float = 0.95, n_centroids: int = 16, max_bucket: int = 4096
 ) -> pd.DataFrame:
     """Embedding-cosine near-duplicate pairs: bucket by nearest centroid,
-    exact pairwise cosine within buckets (groupby-shuffled), threshold.
+    exact pairwise cosine within buckets (hash-exchanged), threshold.
 
     Bounded-group design (round-1 judge: unbounded all-pairs): a count
     pre-pass finds buckets over ``max_bucket`` rows and subdivides them by
@@ -448,12 +449,16 @@ def _near_dup_pairs(
             schema=_PAIR_SCHEMA,
         )
 
-    out = (
-        ds.map_batches(add_key, batch_format="pyarrow", batch_size=4096)
-        .groupby("key")
-        .map_groups(pairs_in_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    def keyed(batch: pa.Table) -> tuple[pa.Table, np.ndarray]:
+        t = add_key(batch)
+        return t, splitmix64(t["key"].to_numpy().view(np.uint64))
+
+    def pairs_per_key(t: pa.Table) -> pa.Table:
+        return pa.concat_tables([pairs_in_bucket(g) for g in key_groups(t, "key")])
+
+    # one exchange on the group key; each reduce task pairs its keys' rows
+    refs, _ = shuffle([(ds, keyed)], pairs_per_key)
+    out = pa.concat_tables(ray.get(refs)).to_pandas()
     if len(out):
         out["cos"] = r4(out["cos"])
         out = out.sort_values(["vec_a", "vec_b"]).reset_index(drop=True)
@@ -472,13 +477,12 @@ def q_embedding_stats(sf_dir: str) -> pd.DataFrame:
         g = df.groupby("label", as_index=False).agg(n=("norm", "size"), sum_norm=("norm", "sum"))
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    from ray.data.aggregate import Sum
-
+    # one partial row per (batch, label): merged on the driver
     out = (
         ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("label")
-        .aggregate(Sum("n", alias_name="n"), Sum("sum_norm", alias_name="sum_norm"))
         .to_pandas()
+        .groupby("label", as_index=False)
+        .sum()
     )
     out["n"] = out["n"].astype(np.int64)
     out["sum_norm"] = r4(out["sum_norm"])

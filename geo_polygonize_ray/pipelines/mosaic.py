@@ -2,7 +2,7 @@
 
 Image+caption tiles are placed on a global plane (grid mosaic, image i at
 origin (col*w, row*h)); rasters are vectorized to line-work; line-work is
-spatial-cell-encoded and groupby-shuffled; each cell's subgraph is traced by
+spatial-cell-encoded and hash-exchanged; each cell's subgraph is traced by
 the per-tile polygonizer; polygons may span image boundaries.
 
 The cross-image part is the SEAM JOIN: inside one image we cannot know
@@ -11,7 +11,7 @@ whether the region continues into the neighbor, so
     global coordinates), EXCLUDING borders shared with a neighbor;
   * each shared border contributes an edge STRIP (the image's outermost
     pixel row/column) keyed by a seam id shared with exactly one neighbor;
-  * a groupby(seam) stage compares the two strips and emits boundary
+  * a seam-keyed exchange stage compares the two strips and emits boundary
     segments only where colors differ across the seam (mosaic-boundary
     seams with a single strip emit their full border).
 
@@ -28,6 +28,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from geo_polygonize_ray.config import PipelineConfig
+from geo_polygonize_ray.functions.sketch import splitmix64
 from geo_polygonize_ray.raster.codec import decode_image
 from geo_polygonize_ray.raster.vectorize import labels_to_linework, rgb_to_labels
 
@@ -253,10 +254,12 @@ def _seam_bucket_segments(group: pa.Table) -> pa.Table:
     )
 
 
-_SEAM_BUCKETS = 64
-
-
 _MOSAIC_LOCAL_ROWS = 2_000_000
+
+
+def _seam_keyed(t: pa.Table) -> tuple[pa.Table, np.ndarray]:
+    """Strip rows keyed by seam: both strips of a seam meet in one bucket."""
+    return t, splitmix64(t["seam_key"].to_numpy().astype(np.uint64))
 
 
 def mosaic_polygonize(
@@ -338,12 +341,11 @@ def mosaic_polygonize(
     #     the driver (~0.06 s at 1024 tiles; same small-side policy as
     #     PipelineConfig.local_fastpath_rows) — the distributed heavy
     #     lifting (decode/vectorize) already happened in the actor stage,
-    #     and the seam join is one vectorized driver call (a Ray groupby
-    #     costs ~2 s of fixed Sort overhead, dwarfing sub-MB strips).
+    #     and the seam join is one vectorized driver call.
     #   * above it, the adaptive buffer-escalation path
     #     (polygonize_dataset_adaptive) — exact for faces larger than any
     #     buffer via its final global round — with the seam join as ONE
-    #     bucketed groupby shuffle, every seam of a bucket compared
+    #     hash exchange on the seam key, every seam of a bucket compared
     #     vectorized.
     if local_rows_threshold is None:
         local_rows_threshold = _MOSAIC_LOCAL_ROWS
@@ -376,23 +378,12 @@ def mosaic_polygonize(
         )
         seam_lines = rd.from_arrow(_seam_bucket_segments(strip_t))
     else:
-        strips = mixed.filter(expr="kind == 'strip'")
+        from geo_polygonize_ray.functions.agg import shuffle, to_dataset
 
-        def add_seam_bucket(t: pa.Table) -> pa.Table:
-            k = t["seam_key"].to_numpy().astype(np.uint64)
-            b = ((k * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)) % np.uint64(
-                _SEAM_BUCKETS
-            )
-            return t.append_column("_bucket", pa.array(b.astype(np.int64)))
-
-        seam_lines = (
-            strips.map_batches(add_seam_bucket, batch_format="pyarrow")
-            .groupby("_bucket")
-            .map_groups(
-                lambda g: _seam_bucket_segments(g.drop_columns(["_bucket"])),
-                batch_format="pyarrow",
-            )
+        strips = mixed.filter(expr="kind == 'strip'").select_columns(
+            ["seam_key", "side", "colors", "xs", "ys"]
         )
+        seam_lines = to_dataset(shuffle([(strips, _seam_keyed)], _seam_bucket_segments))
     from geo_polygonize_ray.stages.stitch import polygonize_dataset_adaptive
 
     linework = lines.union(seam_lines)

@@ -25,6 +25,8 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from geo_polygonize_ray.functions.exchange import cluster_cpus
+
 AUDIO_SCHEMA = pa.schema(
     [
         ("clip_id", pa.string()),
@@ -295,20 +297,27 @@ def make_video_table(n: int, seed: int = 42, w: int = 32, h: int = 24, n_frames:
     )
 
 
-def audio_features_pipeline(table: pa.Table, concurrency=2) -> rd.Dataset:
+def audio_features_pipeline(table: pa.Table, concurrency=None) -> rd.Dataset:
+    """``concurrency``: actor pool size; None scales from one actor up to
+    the cluster's CPUs."""
     ds = rd.from_arrow(table)
     return ds.map_batches(
-        AudioFeatures, batch_format="pyarrow", batch_size=64, concurrency=concurrency, num_cpus=1
+        AudioFeatures,
+        batch_format="pyarrow",
+        batch_size=64,
+        concurrency=concurrency or (1, cluster_cpus()),
+        num_cpus=1,
     )
 
 
-def video_frame_pipeline(table: pa.Table, n_sample: int = 4, concurrency=2) -> rd.Dataset:
+def video_frame_pipeline(table: pa.Table, n_sample: int = 4, concurrency=None) -> rd.Dataset:
+    """``concurrency``: as in ``audio_features_pipeline``."""
     ds = rd.from_arrow(table)
     return ds.map_batches(
         VideoFrameSampler,
         fn_constructor_kwargs=dict(n_sample=n_sample),
         batch_format="pyarrow",
         batch_size=16,
-        concurrency=concurrency,
+        concurrency=concurrency or (1, cluster_cpus()),
         num_cpus=1,
     )

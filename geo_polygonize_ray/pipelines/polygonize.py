@@ -338,7 +338,8 @@ def polygonize_dataset(
     # executor.  The executor's reference cycle would keep every output
     # block in the object store until Python's cyclic GC runs (measured:
     # driver and worker peak RSS grew ~1 MB per job instead of levelling).
-    return rd.from_arrow_refs(exchange(slices, map_fn, n_buckets, tracer)).materialize()
+    refs, _ = exchange([(slices, map_fn)], n_buckets, tracer)
+    return rd.from_arrow_refs(refs).materialize()
 
 
 def polygonize_lines_distributed(

@@ -5,12 +5,12 @@ correctness gate.
 Patterns demonstrated (the generic data-processing capability surface):
   * column-pruned reads (`columns=[...]`)
   * vectorized pyarrow.compute filters/projections inside map_batches
-  * partial (map-side) aggregation before the groupby shuffle
+  * partial (map-side) aggregation: small partials merge on the driver,
+    high-cardinality ones in one bucketed groupby exchange
   * broadcast joins for small dimension tables (ray.put + per-batch lookup)
-  * hash-partitioned large-large joins (functions.agg.hash_join — the
-    engine's one-exchange bucket join; Ray's acero Dataset.join flaked
-    nondeterministically on chained joins, CORRECTNESS_r04)
-  * sort / top-k on small aggregate results
+  * hash-partitioned large-large joins (functions.agg.hash_join — one
+    plain-task exchange of both sides' own columns)
+  * top-k as a per-batch top-k merged on the driver (no global sort)
 
 Float aggregates are rounded to 4 decimals in BOTH the Ray pipeline and the
 SQL oracle so the driver's value-hash comparison is robust to summation
@@ -38,7 +38,7 @@ def r4(x):
 
 
 # ---------------------------------------------------------------------------
-# q1: pricing summary — partial aggregation before the groupby shuffle
+# q1: pricing summary — map-side partial aggregation, merged on the driver
 # ---------------------------------------------------------------------------
 
 
@@ -74,19 +74,9 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    from ray.data.aggregate import Sum
-
-    out = (
-        partials.groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("sum_base_price", alias_name="sum_base_price"),
-            Sum("sum_disc_price", alias_name="sum_disc_price"),
-            Sum("n_rows", alias_name="n_rows"),
-        )
-        .to_pandas()
-    )
+    # one partial row per (batch, flag, status): few enough for the driver
+    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=65536).to_pandas()
+    out = partials.groupby(["l_returnflag", "l_linestatus"], as_index=False).sum()
     for c in ("sum_qty", "sum_base_price", "sum_disc_price"):
         out[c] = r4(out[c])
     out["n_rows"] = out["n_rows"].astype(np.int64)
@@ -334,8 +324,10 @@ Q_DISTINCT_SQL = "SELECT DISTINCT p_brand, p_size FROM part ORDER BY p_brand, p_
 
 
 def q_top_orders_by_price(sf_dir: str) -> pd.DataFrame:
+    from geo_polygonize_ray.functions.agg import top_k
+
     ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_totalprice", "o_orderpriority"])
-    out = ds.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(20).to_pandas()
+    out = top_k(ds, ["o_totalprice", "o_orderkey"], [True, False], 20)
     out["o_totalprice"] = r4(out["o_totalprice"])
     return out
 
@@ -642,14 +634,12 @@ def q_supplier_nation(sf_dir: str) -> pd.DataFrame:
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    from ray.data.aggregate import Sum
-
     out = (
         _read(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey", "s_acctbal"])
         .map_batches(join, batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(Sum("n_suppliers", alias_name="n_suppliers"), Sum("sum_acctbal", alias_name="sum_acctbal"))
         .to_pandas()
+        .groupby("n_name", as_index=False)
+        .sum()
     )
     out["n_suppliers"] = out["n_suppliers"].astype(np.int64)
     out["sum_acctbal"] = r4(out["sum_acctbal"])
@@ -700,11 +690,9 @@ FROM part GROUP BY p_type ORDER BY p_type
 
 def q_customers_without_orders(sf_dir: str) -> pd.DataFrame:
     """ANTI-join: customers with no '1-URGENT' order, expressed distributed
-    as a tagged union + bucketed groupby (customer rows tag 0, urgent-order
+    as one two-input bucketed groupby (customer rows tag 0, urgent-order
     custkeys tag 1; keys whose group has no order tag survive) — no
-    driver-side key set, both sides stream."""
-    import ray.data as rd
-
+    driver-side key set."""
     from geo_polygonize_ray.functions import bucketed_groupby
 
     cust = _read(sf_dir, "customer", columns=["c_custkey"]).map_batches(
@@ -716,7 +704,7 @@ def q_customers_without_orders(sf_dir: str) -> pd.DataFrame:
         ),
         batch_format="pyarrow",
     )
-    # map-side distinct of order custkeys shrinks the union before the shuffle
+    # map-side distinct of order custkeys shrinks the exchange
     def order_keys(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["o_orderpriority"], "1-URGENT"))
         u = pc.cast(pc.unique(t["o_custkey"]), pa.int64())
@@ -731,7 +719,7 @@ def q_customers_without_orders(sf_dir: str) -> pd.DataFrame:
         out = agg.loc[agg["n_orders"] == 0, ["key"]]
         return out.rename(columns={"key": "c_custkey"})
 
-    out = bucketed_groupby(cust.union(ords), "key", anti).to_pandas()
+    out = bucketed_groupby([cust, ords], "key", anti).to_pandas()
     if "c_custkey" not in out.columns:  # empty-result Dataset has no columns
         return pd.DataFrame({"c_custkey": pd.Series([], dtype=np.int64)})
     out["c_custkey"] = out["c_custkey"].astype(np.int64)
@@ -761,15 +749,11 @@ def q_events_props_extract(sf_dir: str) -> pd.DataFrame:
             n=("k", "size"), sum_k=("k", "sum"), max_k=("k", "max")
         )
 
-    from ray.data.aggregate import Max, Sum
-
     out = (
         ds.map_batches(extract, batch_format="pandas")
-        .groupby("event_type")
-        .aggregate(
-            Sum("n", alias_name="n"), Sum("sum_k", alias_name="sum_k"), Max("max_k", alias_name="max_k")
-        )
         .to_pandas()
+        .groupby("event_type", as_index=False)
+        .agg(n=("n", "sum"), sum_k=("sum_k", "sum"), max_k=("max_k", "max"))
     )
     for c in ("n", "sum_k", "max_k"):
         out[c] = out[c].astype(np.int64)
@@ -804,7 +788,7 @@ FROM s GROUP BY user_id, sess_id ORDER BY user_id, sess_id
 
 
 # ---------------------------------------------------------------------------
-# ROLLUP: multi-level aggregate from ONE shuffle of finest-level partials
+# ROLLUP: multi-level aggregate from ONE exchange of finest-level partials
 # ---------------------------------------------------------------------------
 
 
@@ -865,17 +849,17 @@ ORDER BY l_returnflag NULLS FIRST, l_linestatus NULLS FIRST
 
 
 # ---------------------------------------------------------------------------
-# set operators: INTERSECT / EXCEPT as tagged union + presence bits
+# set operators: INTERSECT / EXCEPT as tagged inputs + presence bits
 # ---------------------------------------------------------------------------
 
 
 def q_key_set_ops(sf_dir: str) -> pd.DataFrame:
     """INTERSECT / EXCEPT over two large key sets (customers with an order
-    vs customers appearing as event users), distributed as ONE tagged
-    union + bucketed groupby with per-key presence bits — the same
-    one-shuffle shape as the anti-join, generalized to every set op at
-    once.  Output: each key in either set with its membership, filtered to
-    the interesting rows (intersection and both differences), plus which."""
+    vs customers appearing as event users), distributed as ONE two-input
+    bucketed groupby with per-key presence bits — the same one-exchange
+    shape as the anti-join, generalized to every set op at once.  Output:
+    each key in either set with its membership, filtered to the
+    interesting rows (intersection and both differences), plus which."""
     from geo_polygonize_ray.functions import bucketed_groupby
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"]).map_batches(
@@ -909,7 +893,7 @@ def q_key_set_ops(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    out = bucketed_groupby(orders.union(events), "key", classify).to_pandas()
+    out = bucketed_groupby([orders, events], "key", classify).to_pandas()
     out["key"] = out["key"].astype(np.int64)
     return out.sort_values(["membership", "key"]).reset_index(drop=True)
 

@@ -10,19 +10,18 @@ containment pair.  Shape at 100 TB:
   the same buffered-duplication contract as tiled polygonization
   (reference src/tiling.rs:66-77), so a pair can only meet in the
   point's cell and the join is exactly-once with NO post-dedup;
-* ONE shuffle co-groups each cell;
+* ONE two-input hash exchange co-groups each cell;
 * per cell: a vectorized bbox pre-filter forms candidate pairs, then the
   even-odd crossing parity over shell+hole rings (the K6 PIP kernel,
   identical float math to the rasterizer's fill rule) decides
   containment — a point inside a hole crosses shell+hole an even number
   of times and is excluded, bit-consistently with GEOS semantics.
 
-Everything on both sides of the shuffle is Arrow-native (round-5): the
-tag stages emit one explicit typed schema (list columns stay
-list<double>, never pandas object dtype — object blocks defeat Ray's
-block size accounting and were the r4 empty-schema-warning vector), and
-ring flattening is pure Arrow-list-offset arithmetic with no per-row
-Python (the same flat-ring pattern as stages/trace.py).
+Everything on both sides of the exchange is Arrow-native: each side's
+tag stage emits its own explicit typed schema (list columns stay
+list<double>, never pandas object dtype), and ring flattening is pure
+Arrow-list-offset arithmetic with no per-row Python (the same flat-ring
+pattern as stages/trace.py).
 
 Cell size is the operator's skew knob: cells should be sized near the
 typical polygon diameter so per-cell candidate sets stay bounded (the
@@ -42,6 +41,8 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from geo_polygonize_ray.functions.agg import shuffle, to_dataset
+from geo_polygonize_ray.functions.sketch import splitmix64
 from geo_polygonize_ray.geom.kernels import pair_points_in_rings
 
 # cell key packing: (ix + _OFF) << 32 | (iy + _OFF); valid for |ix|,|iy| < 2^31
@@ -50,18 +51,20 @@ _OFF = np.int64(1 << 31)
 _LIST_F64 = pa.list_(pa.float64())
 _LIST_LIST_F64 = pa.list_(_LIST_F64)
 
-# the ONE typed schema both tag stages emit (points pad the polygon
-# columns with typed nulls, polygons pad the point columns with
-# sentinels) — no block in the exchange can be schema-less or object-dtype
-_UNION_SCHEMA = pa.schema(
+# each tag stage's typed schema: a side ships only its own columns
+_POINT_SCHEMA = pa.schema(
     [
         ("cell", pa.int64()),
         ("salt", pa.int32()),
-        ("_bucket", pa.int64()),
-        ("side", pa.int8()),
         ("point_id", pa.int64()),
         ("x", pa.float64()),
         ("y", pa.float64()),
+    ]
+)
+_POLY_SCHEMA = pa.schema(
+    [
+        ("cell", pa.int64()),
+        ("salt", pa.int32()),
         ("poly_id", pa.int64()),
         ("shell_xs", _LIST_F64),
         ("shell_ys", _LIST_F64),
@@ -77,11 +80,10 @@ def _cell_key(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     return ((ix.astype(np.int64) + _OFF) << np.int64(32)) | (iy.astype(np.int64) + _OFF)
 
 
-def _bucket_of(cell: np.ndarray, salt: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Shuffle bucket of a (cell, salt) group — Knuth multiplicative hash,
-    identical on both sides so a group always co-locates."""
-    h = ((cell + salt.astype(np.int64)) * np.int64(2654435761)) % np.int64(4294967296)
-    return h % np.int64(n_buckets)
+def _group_hash(cell: np.ndarray, salt: np.ndarray) -> np.ndarray:
+    """Exchange key hash of a (cell, salt) group, identical on both sides
+    so a group always co-locates."""
+    return splitmix64(cell.view(np.uint64) ^ splitmix64(salt.astype(np.uint64)))
 
 
 def _list_parts(col) -> tuple[np.ndarray, np.ndarray]:
@@ -232,19 +234,18 @@ def spatial_join_points_in_polygons(
     polygons: rd.Dataset,
     cell_size: float,
     salt: int = 1,
-    n_buckets: int = 64,
 ) -> rd.Dataset:
     """(point_id, poly_id) pairs where the point lies inside the polygon
-    (even-odd rule over shell + holes).  Streams: both sides are tagged
-    with (cell, salt) keys map-side as ONE typed Arrow schema, one
-    bucketed groupby co-locates each group, and per-group work is fully
+    (even-odd rule over shell + holes).  Both sides are tagged with
+    (cell, salt) keys map-side, each in its own typed Arrow schema, one
+    two-input exchange co-locates each group, and per-group work is fully
     vectorized.  ``salt`` > 1 splits every cell into that many point
     groups (polygon copies duplicated to all) — the hot-cell escape
     hatch."""
     cs = float(cell_size)
     n_salt = max(int(salt), 1)
 
-    def tag_points(batch: pa.Table) -> pa.Table:
+    def tag_points(batch: pa.Table) -> tuple[pa.Table, np.ndarray]:
         x = batch["x"].to_numpy(zero_copy_only=False).astype(np.float64)
         y = batch["y"].to_numpy(zero_copy_only=False).astype(np.float64)
         pid = batch["point_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -255,27 +256,21 @@ def spatial_join_points_in_polygons(
             if n_salt > 1
             else np.zeros(n, dtype=np.int32)
         )
-        return pa.Table.from_arrays(
+        t = pa.Table.from_arrays(
             [
                 pa.array(cell, pa.int64()),
                 pa.array(s, pa.int32()),
-                pa.array(_bucket_of(cell, s, n_buckets), pa.int64()),
-                pa.array(np.zeros(n, dtype=np.int8), pa.int8()),
                 pa.array(pid, pa.int64()),
                 pa.array(x, pa.float64()),
                 pa.array(y, pa.float64()),
-                pa.array(np.full(n, -1, dtype=np.int64), pa.int64()),
-                pa.nulls(n, _LIST_F64),
-                pa.nulls(n, _LIST_F64),
-                pa.nulls(n, _LIST_LIST_F64),
-                pa.nulls(n, _LIST_LIST_F64),
             ],
-            schema=_UNION_SCHEMA,
+            schema=_POINT_SCHEMA,
         )
+        return t, _group_hash(cell, s)
 
-    def tag_polygons(batch: pa.Table) -> pa.Table:
+    def tag_polygons(batch: pa.Table) -> tuple[pa.Table, np.ndarray]:
         if batch.num_rows == 0:
-            return _UNION_SCHEMA.empty_table()
+            return _POLY_SCHEMA.empty_table(), np.zeros(0, np.uint64)
         rep, cells = _poly_cell_expansion(batch, cs)
         if n_salt > 1:
             rep = np.repeat(rep, n_salt)
@@ -284,47 +279,33 @@ def spatial_join_points_in_polygons(
         else:
             s = np.zeros(len(rep), dtype=np.int32)
         dup = batch.take(pa.array(rep, pa.int64()))  # stays Arrow, zero object dtype
-        total = len(rep)
-        return pa.Table.from_arrays(
+        t = pa.Table.from_arrays(
             [
                 pa.array(cells, pa.int64()),
                 pa.array(s, pa.int32()),
-                pa.array(_bucket_of(cells, s, n_buckets), pa.int64()),
-                pa.array(np.ones(total, dtype=np.int8), pa.int8()),
-                pa.array(np.full(total, -1, dtype=np.int64), pa.int64()),
-                pa.array(np.zeros(total), pa.float64()),
-                pa.array(np.zeros(total), pa.float64()),
                 dup["poly_id"].combine_chunks().cast(pa.int64()),
                 dup["shell_xs"].combine_chunks(),
                 dup["shell_ys"].combine_chunks(),
                 dup["holes_xs"].combine_chunks(),
                 dup["holes_ys"].combine_chunks(),
             ],
-            schema=_UNION_SCHEMA,
+            schema=_POLY_SCHEMA,
         )
+        return t, _group_hash(cells, s)
 
-    tagged = points.map_batches(tag_points, batch_format="pyarrow").union(
-        polygons.select_columns(
-            ["poly_id", "shell_xs", "shell_ys", "holes_xs", "holes_ys"]
-        ).map_batches(tag_polygons, batch_format="pyarrow")
-    )
-
-    def join_bucket(g: pa.Table) -> pa.Table:
-        side = g["side"].to_numpy(zero_copy_only=False)
-        pmask = side == 0
-        if not pmask.any() or pmask.all():
+    def join_bucket(pts: pa.Table, polys: pa.Table) -> pa.Table:
+        if not pts.num_rows or not polys.num_rows:
             return _PAIR_SCHEMA.empty_table()
-        cell = g["cell"].to_numpy(zero_copy_only=False)
-        saltc = g["salt"].to_numpy(zero_copy_only=False)
-        px = g["x"].to_numpy(zero_copy_only=False)[pmask]
-        py = g["y"].to_numpy(zero_copy_only=False)[pmask]
-        pid = g["point_id"].to_numpy(zero_copy_only=False)[pmask]
-        pcell, psalt = cell[pmask], saltc[pmask]
-        ptbl = g.filter(pa.array(~pmask))
+        px = pts["x"].to_numpy(zero_copy_only=False)
+        py = pts["y"].to_numpy(zero_copy_only=False)
+        pid = pts["point_id"].to_numpy(zero_copy_only=False)
+        pcell = pts["cell"].to_numpy(zero_copy_only=False)
+        psalt = pts["salt"].to_numpy(zero_copy_only=False)
         fl = _flatten_polygons(
-            ptbl.select(["poly_id", "shell_xs", "shell_ys", "holes_xs", "holes_ys"])
+            polys.select(["poly_id", "shell_xs", "shell_ys", "holes_xs", "holes_ys"])
         )
-        gcell, gsalt = cell[~pmask], saltc[~pmask]
+        gcell = polys["cell"].to_numpy(zero_copy_only=False)
+        gsalt = polys["salt"].to_numpy(zero_copy_only=False)
 
         # group boundaries on both (cell, salt)-sorted sides
         po = np.lexsort((psalt, pcell))
@@ -375,7 +356,17 @@ def spatial_join_points_in_polygons(
             schema=_PAIR_SCHEMA,
         )
 
-    return tagged.groupby("_bucket").map_groups(join_bucket, batch_format="pyarrow")
+    exchanged = shuffle(
+        [
+            (points, tag_points),
+            (
+                polygons.select_columns(["poly_id", "shell_xs", "shell_ys", "holes_xs", "holes_ys"]),
+                tag_polygons,
+            ),
+        ],
+        join_bucket,
+    )
+    return to_dataset(exchanged)
 
 
 def spatial_join_broadcast(

@@ -6,8 +6,8 @@ aggregates, interval joins).  Each query is paired with an ANSI-SQL oracle
 
 Scale notes (100 TB posture):
   * the as-of join co-partitions BOTH large sides by the join key with ONE
-    hash shuffle (union + bucketed groupby) — nothing event- or
-    order-scale is broadcast or materialized on the driver;
+    two-input hash exchange — nothing event- or order-scale is broadcast
+    or materialized on the driver;
   * the lag-window query is the same one-shuffle shape (partition by key,
     sort inside the group, vectorized diff) — per-key state never leaves
     the bucket;
@@ -30,8 +30,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray.data as rd
+import ray
 
+from geo_polygonize_ray.functions.agg import shuffle
+from geo_polygonize_ray.functions.sketch import splitmix64
 from geo_polygonize_ray.pipelines.relational import _read, r4
 
 # ---------------------------------------------------------------------------
@@ -39,13 +41,61 @@ from geo_polygonize_ray.pipelines.relational import _read, r4
 # ---------------------------------------------------------------------------
 
 
-def _asof_buckets() -> int:
-    """Cluster-derived shuffle width (round-3 judge: never hard-code
-    partition counts): ~2 buckets per cluster CPU, floor 64 so per-bucket
-    pandas work stays batched on small sessions."""
-    from geo_polygonize_ray.functions.agg import join_partitions
+def _asof_events(t: pa.Table) -> tuple[pa.Table, np.ndarray]:
+    key = t["user_id"].to_numpy().astype(np.int64)
+    out = pa.table(
+        {
+            "key": key,
+            "t_us": t["ts"].cast(pa.int64()),
+            "event_id": t["event_id"].cast(pa.int64()),
+        }
+    )
+    return out, splitmix64(key.view(np.uint64))
 
-    return max(64, join_partitions(per_cpu=2.0))
+
+def _asof_orders(t: pa.Table) -> tuple[pa.Table, np.ndarray]:
+    key = t["o_custkey"].to_numpy().astype(np.int64)
+    out = pa.table(
+        {
+            "key": key,
+            "t_us": t["o_orderdate"].cast(pa.int64()),
+            "o_orderkey": t["o_orderkey"].cast(pa.int64()),
+            "o_totalprice": t["o_totalprice"].cast(pa.float64()),
+        }
+    )
+    return out, splitmix64(key.view(np.uint64))
+
+
+_ASOF_SCHEMA = pa.schema(
+    [
+        ("event_id", pa.int64()),
+        ("user_id", pa.int64()),
+        ("ts_us", pa.int64()),
+        ("last_orderkey", pa.int64()),
+        ("last_totalprice", pa.float64()),
+    ]
+)
+
+
+def _asof_bucket(events: pa.Table, orders: pa.Table) -> pa.Table:
+    """Backward as-of merge of one bucket's events and orders, by key."""
+    if not events.num_rows or not orders.num_rows:
+        return _ASOF_SCHEMA.empty_table()
+    ev = events.to_pandas().sort_values("t_us", kind="stable")
+    # within equal dates the LAST row has the max orderkey -> tiebreak
+    od = orders.to_pandas().sort_values(["t_us", "o_orderkey"], kind="stable")
+    m = pd.merge_asof(ev, od, on="t_us", by="key", direction="backward", allow_exact_matches=True)
+    m = m[m["o_orderkey"].notna()]
+    return pa.Table.from_arrays(
+        [
+            pa.array(m["event_id"].to_numpy(np.int64)),
+            pa.array(m["key"].to_numpy(np.int64)),
+            pa.array(m["t_us"].to_numpy(np.int64)),
+            pa.array(m["o_orderkey"].to_numpy(np.int64)),
+            pa.array(m["o_totalprice"].to_numpy(np.float64)),
+        ],
+        schema=_ASOF_SCHEMA,
+    )
 
 
 def q_asof_join_last_order(sf_dir: str) -> pd.DataFrame:
@@ -53,90 +103,17 @@ def q_asof_join_last_order(sf_dir: str) -> pd.DataFrame:
     recent order of the same customer with ``o_orderdate <= ts``; ties on
     the date break to the highest ``o_orderkey``.
 
-    Both sides are O(data)-large, so the implementation is the
-    co-partitioned union: tag each side with ``_bucket = key % B``, union
-    the aligned schemas, ONE ``groupby(_bucket)`` shuffle, then a
+    Both sides are O(data)-large, so the implementation is one two-input
+    hash exchange on the key (each side ships its own columns), then a
     vectorized ``pd.merge_asof`` per bucket (sorted by time, ``by=`` the
     key) — the canonical distributed as-of shape.  No side is broadcast.
     """
-    n_buckets = _asof_buckets()
     events = _read(sf_dir, "events", columns=["event_id", "ts", "user_id"])
     orders = _read(
         sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
     )
-
-    def prep_events(batch: pa.Table) -> pd.DataFrame:
-        df = batch.to_pandas()
-        out = pd.DataFrame(
-            {
-                "key": df["user_id"].to_numpy(np.int64),
-                "t_us": df["ts"].astype("int64").to_numpy(),
-                "event_id": df["event_id"].to_numpy(np.int64),
-                "o_orderkey": np.full(len(df), -1, np.int64),
-                "o_totalprice": np.full(len(df), np.nan),
-            }
-        )
-        out["_bucket"] = out["key"].to_numpy() % n_buckets
-        return out
-
-    def prep_orders(batch: pa.Table) -> pd.DataFrame:
-        df = batch.to_pandas()
-        out = pd.DataFrame(
-            {
-                "key": df["o_custkey"].to_numpy(np.int64),
-                "t_us": df["o_orderdate"].astype("int64").to_numpy(),
-                "event_id": np.full(len(df), -1, np.int64),
-                "o_orderkey": df["o_orderkey"].to_numpy(np.int64),
-                "o_totalprice": df["o_totalprice"].to_numpy(np.float64),
-            }
-        )
-        out["_bucket"] = out["key"].to_numpy() % n_buckets
-        return out
-
-    tagged = events.map_batches(prep_events, batch_format="pyarrow").union(
-        orders.map_batches(prep_orders, batch_format="pyarrow")
-    )
-
-    def asof_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        is_event = group["event_id"].to_numpy() >= 0
-        ev = group[is_event].sort_values("t_us", kind="stable")
-        od = group[~is_event].sort_values(
-            ["t_us", "o_orderkey"], kind="stable"
-        )  # within equal dates the LAST row has the max orderkey -> tiebreak
-        if not len(ev) or not len(od):
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series([], dtype=np.int64),
-                    "user_id": pd.Series([], dtype=np.int64),
-                    "ts_us": pd.Series([], dtype=np.int64),
-                    "last_orderkey": pd.Series([], dtype=np.int64),
-                    "last_totalprice": pd.Series([], dtype=np.float64),
-                }
-            )
-        m = pd.merge_asof(
-            ev[["key", "t_us", "event_id"]],
-            od[["key", "t_us", "o_orderkey", "o_totalprice"]],
-            on="t_us",
-            by="key",
-            direction="backward",
-            allow_exact_matches=True,
-        )
-        m = m[m["o_orderkey"].notna()]
-        return pd.DataFrame(
-            {
-                "event_id": m["event_id"].to_numpy(np.int64),
-                "user_id": m["key"].to_numpy(np.int64),
-                "ts_us": m["t_us"].to_numpy(np.int64),
-                "last_orderkey": m["o_orderkey"].to_numpy(np.int64),
-                "last_totalprice": m["o_totalprice"].to_numpy(np.float64),
-            }
-        )
-
-    out = (
-        tagged.groupby("_bucket")
-        .map_groups(asof_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    refs, _ = shuffle([(events, _asof_events), (orders, _asof_orders)], _asof_bucket)
+    out = pa.concat_tables(ray.get(refs)).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 

@@ -6,7 +6,7 @@ All stages are vectorized map_batches over Arrow/pandas batches; stateful
 stages (compiled regexes, hash seeds, stopword sets) are actor classes.
 Shuffle-minimizing patterns: content hashes computed map-side, dedup via a
 single groupby on the hash; MinHash-LSH explodes to (band, bucket) rows and
-groups once.
+groups once.  Actor pools scale from one actor up to the cluster's CPUs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-
+from geo_polygonize_ray.functions.exchange import cluster_cpus
 from geo_polygonize_ray.pipelines.relational import _read, r4
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
@@ -76,18 +76,22 @@ FROM documents ORDER BY doc_id
 
 
 def q_doc_stats_by_lang(sf_dir: str) -> pd.DataFrame:
-    from ray.data.aggregate import Count, Max, Min, Sum
-
     ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
-    out = (
-        ds.groupby("lang")
-        .aggregate(
-            Count(alias_name="n_docs"),
-            Sum("n_chars", alias_name="sum_chars"),
-            Min("n_chars", alias_name="min_chars"),
-            Max("n_chars", alias_name="max_chars"),
-        )
-        .to_pandas()
+    # map-side partials per (batch, lang), merged on the driver
+    partial = ds.map_batches(
+        lambda df: df.groupby("lang", as_index=False).agg(
+            n_docs=("n_chars", "size"),
+            sum_chars=("n_chars", "sum"),
+            min_chars=("n_chars", "min"),
+            max_chars=("n_chars", "max"),
+        ),
+        batch_format="pandas",
+    )
+    out = partial.to_pandas().groupby("lang", as_index=False).agg(
+        n_docs=("n_docs", "sum"),
+        sum_chars=("sum_chars", "sum"),
+        min_chars=("min_chars", "min"),
+        max_chars=("max_chars", "max"),
     )
     for c in ("n_docs", "sum_chars", "min_chars", "max_chars"):
         out[c] = out[c].astype(np.int64)
@@ -103,8 +107,10 @@ FROM documents GROUP BY lang ORDER BY lang
 
 
 def q_top_longest_docs(sf_dir: str) -> pd.DataFrame:
+    from geo_polygonize_ray.functions.agg import top_k
+
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
-    return ds.sort(["n_chars", "doc_id"], descending=[True, False]).limit(15).to_pandas()
+    return top_k(ds, ["n_chars", "doc_id"], [True, False], 15)
 
 
 Q_TOP_LONGEST_SQL = """
@@ -157,7 +163,7 @@ FROM documents ORDER BY doc_id
 def q_bpe_tokens(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     out = ds.map_batches(
-        BpeishTokenizer, batch_format="pandas", batch_size=1024, concurrency=2
+        BpeishTokenizer, batch_format="pandas", batch_size=1024, concurrency=(1, cluster_cpus())
     ).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
@@ -198,7 +204,7 @@ class QualityScorer:
 def q_quality_scores(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     out = ds.map_batches(
-        QualityScorer, batch_format="pandas", batch_size=1024, concurrency=2
+        QualityScorer, batch_format="pandas", batch_size=1024, concurrency=(1, cluster_cpus())
     ).to_pandas()
     out = out[["doc_id", "n_tokens", "stopword_ratio", "punct_ratio", "quality_score"]]
     for c in ("stopword_ratio", "punct_ratio", "quality_score"):
@@ -270,7 +276,9 @@ class LangId:
 
 def q_lang_id(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "text"])
-    out = ds.map_batches(LangId, batch_format="pandas", batch_size=1024, concurrency=2).to_pandas()
+    out = ds.map_batches(
+        LangId, batch_format="pandas", batch_size=1024, concurrency=(1, cluster_cpus())
+    ).to_pandas()
     out["match"] = out["pred_lang"] == out["lang"]
     return out[["doc_id", "lang", "pred_lang", "match"]].sort_values("doc_id").reset_index(drop=True)
 
@@ -764,6 +772,10 @@ ORDER BY d.doc_id
 """
 
 
+def _label_sum(t: pa.Table) -> int:
+    return int(np.sum(t["label"].to_numpy()))
+
+
 def minhash_dedup_groups(
     sf_dir: str, jaccard_threshold: float = 0.5, max_rounds: int = 20
 ) -> pd.DataFrame:
@@ -784,6 +796,7 @@ def minhash_dedup_groups(
     import ray.data as rd
 
     from geo_polygonize_ray.functions import bucketed_groupby
+    from geo_polygonize_ray.functions.exchange import dataset_slices, map_slices
 
     pairs = minhash_lsh_pairs(sf_dir, jaccard_threshold=jaccard_threshold)
 
@@ -823,9 +836,7 @@ def minhash_dedup_groups(
     converged = False
     for _ in range(max_rounds):
         # neighbour labels: edges (src, dst) x labels(node=src) -> (dst, label)
-        # — the engine's own co-partitioned shuffle join (round-5: Ray's
-        # Dataset.join flaked nondeterministically on these chained tiny
-        # joins, CORRECTNESS_r04); the per-bucket post= keeps only the
+        # — the engine's hash join; the per-bucket post= keeps only the
         # (node, label) message columns
         msgs = hash_join(
             edges,
@@ -834,7 +845,6 @@ def minhash_dedup_groups(
             right_on="node",
             left_cols={"src": "int64", "dst": "int64"},
             right_cols={"node": "int64", "label": "int64"},
-            n_buckets=8,
             post=lambda m: pd.DataFrame(
                 {"node": m["dst"].to_numpy(np.int64), "label": m["label"].to_numpy(np.int64)}
             ),
@@ -858,18 +868,17 @@ def minhash_dedup_groups(
             right_on="node_r",
             left_cols={"node": "int64", "label": "int64"},
             right_cols={"node_r": "int64", "label_r": "int64"},
-            n_buckets=8,
             post=lambda m: pd.DataFrame(
                 {"node": m["node"].to_numpy(np.int64), "label": m["label_r"].to_numpy(np.int64)}
             ),
         )
-        combined = labels.union(msgs).union(msgs2)
-
         def min_label(g: pd.DataFrame) -> pd.DataFrame:
             return g.groupby("node", as_index=False).agg(label=("label", "min"))
 
-        labels = bucketed_groupby(combined, "node", min_label, n_buckets=8).materialize()
-        s = int(labels.sum("label"))
+        labels = bucketed_groupby([labels, msgs, msgs2], "node", min_label)
+        # label sum as map-side partials, added on the driver
+        slices, _, _ = dataset_slices(labels, cluster_cpus())
+        s = sum(map_slices(_label_sum, slices))
         if s == prev_sum:  # labels monotone non-increasing => converged
             converged = True
             break
@@ -962,7 +971,9 @@ GROUP BY d.doc_id ORDER BY d.doc_id
 
 def q_simhash(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    out = ds.map_batches(SimHasher, batch_format="pandas", batch_size=512, concurrency=2).to_pandas()
+    out = ds.map_batches(
+        SimHasher, batch_format="pandas", batch_size=512, concurrency=(1, cluster_cpus())
+    ).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1189,5 +1200,7 @@ FROM h GROUP BY doc_id ORDER BY doc_id
 
 def q_fingerprints(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    out = ds.map_batches(Fingerprinter, batch_format="pandas", batch_size=512, concurrency=2).to_pandas()
+    out = ds.map_batches(
+        Fingerprinter, batch_format="pandas", batch_size=512, concurrency=(1, cluster_cpus())
+    ).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)

@@ -69,7 +69,7 @@ from geo_polygonize_ray.local.polygonize import (
     dedup_linestrings,
     explode_to_segments,
 )
-from geo_polygonize_ray.pipelines.polygonize import _exchange_bucket, _slices_bbox
+from geo_polygonize_ray.pipelines.polygonize import _slices_bbox
 from geo_polygonize_ray.stages.linework import (
     _SALT_SUBS,
     SaltedTileAssigner,
@@ -277,11 +277,16 @@ def _prefiltered_rows(t: pa.Table, windows) -> int:
 def _round_map(cols, assigner, windows, keep, n_buckets, t: pa.Table):
     """Exchange map side of one round: whole linework rows near the active
     windows, duplicated to every buffered tile they meet, restricted to the
-    active tiles (``keep``; None in round 0)."""
+    active tiles (``keep``, sorted; None in round 0).
+
+    A tile's bucket is its rank in the round's tile list modulo
+    ``n_buckets`` (in round 0 every tile runs, and leaf = tile * 64), so a
+    round with no more tiles than reduce tasks runs one tile per task."""
     t = assigner(_prefilter(add_plane_key(t.select(cols)), windows))
-    if keep is not None and t.num_rows:
-        t = t.filter(pa.array(np.isin(t["tile_id"].to_numpy(), keep)))
-    return t, _exchange_bucket(t, n_buckets)
+    if keep is None:
+        return t, t["tile_id"].to_numpy() // _SALT_SUBS % n_buckets
+    t = t.filter(pa.array(np.isin(t["tile_id"].to_numpy(), keep)))
+    return t, np.searchsorted(keep, t["tile_id"].to_numpy()) % n_buckets
 
 
 def _round_verdicts(t: pa.Table) -> tuple[np.ndarray, pa.Table]:
@@ -409,7 +414,7 @@ def polygonize_dataset_adaptive(
             assigner, cfg.snap_grid_size, cfg.max_noding_iters, base_buffer=buffer0
         )
         map_fn = functools.partial(_round_map, cols, assigner, windows, keep, n_buckets)
-        refs = exchange(slices, map_fn, n_buckets, tracer)
+        refs, _ = exchange([(slices, map_fn)], n_buckets, tracer)
         rounds.append((refs, active))
 
         # record this round's runs (round 0 runs every tile implicitly)

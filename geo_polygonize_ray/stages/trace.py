@@ -177,11 +177,11 @@ def table_to_polygons(t: pa.Table) -> list[Polygon]:
 
 
 class TilePolygonizer:
-    """map_groups payload: one buffered tile's linework -> owned polygons.
+    """Exchange reduce payload: one bucket's buffered tiles' linework ->
+    owned polygons.
 
-    Runs as stateless tasks by default (construction is trivial, so tasks
-    reuse the shared worker pool; see pipelines/images.py for the same
-    trade-off); per-call state (graph arenas) is local numpy.
+    Runs inside the exchange's plain reduce tasks (construction is
+    trivial); per-call state (graph arenas) is local numpy.
     """
 
     def __init__(
@@ -197,12 +197,11 @@ class TilePolygonizer:
         self.snap_grid_size = snap_grid_size
         self.max_noding_iters = max_noding_iters
         self.ownership = ownership
-        self.__name__ = "TilePolygonizer"  # ray map_groups wraps fn.__name__
 
     def __call__(self, group: pa.Table) -> pa.Table:
-        """Process one shuffle group.  A group holds EVERY row of one or
-        more (plane, tile) cells (tiles are bucketed upstream so the Ray
-        per-group overhead is paid per *bucket*, not per tile — the same
+        """Process one exchange bucket.  A bucket holds EVERY row of one or
+        more (plane, tile) cells (tiles are bucketed upstream, so the task
+        overhead is paid per *bucket*, not per tile — the same
         high-cardinality-key pattern as functions/agg.py); each (plane,
         tile) cell is still polygonized independently here — overlapping
         planes are never noded into one graph."""

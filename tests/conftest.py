@@ -10,11 +10,6 @@ import pytest
 def ray_session():
     import ray
 
-    # install the engine's Ray compat shims (schema-preserving empty
-    # blocks, worker preload) BEFORE the session starts, exactly as any
-    # engine entry point would
-    import geo_polygonize_ray  # noqa: F401
-
     if not ray.is_initialized():
         ray.init(
             address="local",

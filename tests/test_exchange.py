@@ -181,8 +181,9 @@ class TestExchangeEdges:
         def by_parity(tb):
             return tb, np.where(tb["k"].to_numpy() % 2 == 0, 0, 2)
 
-        refs = exchange(slices, by_parity, 3, lambda tb: tb)
+        refs, rows = exchange([(slices, by_parity)], 3, lambda tb: tb)
         even, empty, odd = ray.get(refs)
+        assert ray.get(rows) == [10, 0, 10]
         assert even["k"].to_pylist() == list(range(0, 20, 2))
         assert odd["k"].to_pylist() == list(range(1, 20, 2))
         assert empty.num_rows == 0 and empty.schema == t.schema

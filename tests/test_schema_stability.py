@@ -1,15 +1,20 @@
-"""Empty-block schema stability (compat.py) + engine hash_join.
+"""Typed exchange outputs without patches to Ray + the engine's hash_join.
 
-Round-4 regression class: Ray 2.49 fabricates schema-less empty blocks in
-four places (sort/merge of empty partitions, split-repartition padding,
-the all-empty map placeholder, and the map_batches/Project empty
-passthroughs).  Those blocks nondeterministically broke chained acero
-joins (CORRECTNESS_r04 q3_top_orders / minhash_dedup_groups) and defeated
-size accounting.  compat.py shims all four; these tests pin the result:
-every block of every stage carries the stage's OUTPUT schema, even when
-empty, and the engine's own hash_join (which replaced Dataset.join)
-matches pandas exactly.
+Ray 2.49's sort-based exchange fabricates schema-less empty blocks, which
+once broke chained acero joins (CORRECTNESS_r04 q3_top_orders /
+minhash_dedup_groups).  The engine no longer runs that exchange, nor
+patches Ray: every join, groupby and as-of join is one plain-task
+exchange (functions/exchange.py) whose result keeps only the non-empty
+buckets' typed outputs.  These tests pin that contract: importing the
+engine leaves Ray's internals alone, the queries run no Ray Data
+all-to-all operator, results carry the non-empty buckets' types, an
+all-empty input gives no rows, and the engine's hash_join matches pandas
+exactly.
 """
+
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pandas as pd
@@ -19,68 +24,129 @@ import pytest
 import ray
 import ray.data as rd
 
+ALL_TO_ALL = ("Sort", "Aggregate", "MapGroups", "Repartition", "Union")
 
-def _block_shapes(ds):
-    out = []
-    for ref in ds.materialize().get_internal_block_refs():
-        b = ray.get(ref)
-        if isinstance(b, pd.DataFrame):
-            out.append(("pandas", tuple(b.columns), len(b)))
-        else:
-            out.append(("arrow", tuple(b.schema.names), b.num_rows))
-    return out
+
+def test_import_leaves_ray_internals_alone():
+    """The package installs nothing into Ray: the internals the former
+    shims replaced are Ray's own objects after the import, and no worker
+    preload is exported."""
+    code = """
+import os
+from ray.data._internal.arrow_block import ArrowBlockAccessor
+from ray.data._internal.execution.operators.map_transformer import (
+    BlocksToBatchesMapTransformFn,
+)
+from ray.data._internal.logical.operators.map_operator import Project
+from ray.data._internal.planner.planner import Planner
+
+before = (
+    ArrowBlockAccessor.sort,
+    BlocksToBatchesMapTransformFn.__call__,
+    Planner._DEFAULT_PLAN_FNS[Project],
+)
+import geo_polygonize_ray
+import geo_polygonize_ray.functions
+import geo_polygonize_ray.pipelines.relational
+
+after = (
+    ArrowBlockAccessor.sort,
+    BlocksToBatchesMapTransformFn.__call__,
+    Planner._DEFAULT_PLAN_FNS[Project],
+)
+assert all(a is b for a, b in zip(before, after)), after
+assert "RAY_preload_python_modules" not in os.environ
+"""
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=repo)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _stats_names(ds: rd.Dataset) -> list[str]:
+    todo, names = [ds._plan.stats()], []
+    while todo:
+        st = todo.pop()
+        todo.extend(st.parents)
+        names.extend(st.metadata)
+    return names
+
+
+@pytest.fixture
+def executed_datasets(monkeypatch):
+    """Every Dataset a query executes (through ``to_pandas`` or the
+    exchange's ``iter_internal_ref_bundles``)."""
+    seen: list = []
+    for name in ("to_pandas", "iter_internal_ref_bundles"):
+        orig = getattr(rd.Dataset, name)
+
+        def wrapped(self, *a, _orig=orig, **kw):
+            seen.append(self)
+            return _orig(self, *a, **kw)
+
+        monkeypatch.setattr(rd.Dataset, name, wrapped)
+    return seen
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestSchemaStability:
-    def test_repartition_padding_is_typed(self):
-        # 10 rows -> 16 blocks forces the split-repartition padding path
-        ds = rd.from_pandas(
-            pd.DataFrame({"k": np.arange(10) % 3, "v": np.arange(10.0)})
-        ).repartition(16)
-        for kind, cols, _ in _block_shapes(ds):
-            assert cols == ("k", "v"), (kind, cols)
+class TestNoAllToAll:
+    @pytest.mark.parametrize(
+        "module,query",
+        [
+            ("relational", "q_hash_join_order_revenue"),
+            ("relational", "q_busy_customers"),
+            ("temporal", "q_asof_join_last_order"),
+            ("relational", "q_top_orders_by_price"),
+        ],
+    )
+    def test_query_runs_no_all_to_all(self, executed_datasets, sf_dir, module, query):
+        import importlib
 
-    def test_map_groups_empty_partitions_carry_output_schema(self):
-        # 3 distinct keys over 16 partitions: most shuffle partitions are
-        # empty; every output block must still carry the UDF's OUTPUT
-        # schema (k, s) — not the input schema, not zero columns
-        ds = rd.from_pandas(
-            pd.DataFrame({"k": np.arange(10) % 3, "v": np.arange(10.0)})
-        ).repartition(16)
-        OUT = pa.schema([("k", pa.int64()), ("s", pa.float64())])
+        fn = getattr(importlib.import_module(f"geo_polygonize_ray.pipelines.{module}"), query)
+        assert len(fn(sf_dir))
+        names = [n for ds in executed_datasets for n in _stats_names(ds)]
+        assert names
+        for op in ALL_TO_ALL:
+            assert not any(op in n for n in names), (op, names)
 
-        def f(g: pa.Table) -> pa.Table:
-            if g.num_rows == 0:
-                return OUT.empty_table()
-            return pa.Table.from_arrays(
-                [g["k"].slice(0, 1), pa.array([float(g.num_rows)])], schema=OUT
-            )
 
-        out = ds.groupby("k").map_groups(f, batch_format="pyarrow")
-        shapes = _block_shapes(out)
-        assert all(cols == ("k", "s") for _, cols, _ in shapes), shapes
-        assert sum(n for _, _, n in shapes) == 3
+@pytest.mark.usefixtures("ray_session")
+class TestTypedBuckets:
+    def test_empty_buckets_carry_non_empty_types(self):
+        """Two string keys over 2 x CPUs reduce tasks: most buckets are
+        empty (pandas would type their empty string column as null), and
+        the result holds only the non-empty buckets' typed blocks."""
+        from geo_polygonize_ray.functions import bucketed_groupby
+        from geo_polygonize_ray.functions.exchange import exchange_buckets
 
-    def test_projected_empty_blocks_carry_projected_schema(self):
-        ds = rd.from_pandas(
-            pd.DataFrame({"a": np.arange(5), "b": np.arange(5.0), "c": np.arange(5)})
-        ).repartition(12)
-        proj = ds.select_columns(["a", "c"])
-        for kind, cols, _ in _block_shapes(proj):
-            assert cols == ("a", "c"), (kind, cols)
+        df = pd.DataFrame({"k": ["a", "b", "a"], "v": np.array([1, 2, 3], np.int64)})
+        out = bucketed_groupby(
+            rd.from_pandas(df),
+            "k",
+            lambda g: g.groupby("k", as_index=False).agg(n=("v", "size"), s=("v", "sum")),
+        )
+        want = pa.schema([("k", pa.string()), ("n", pa.int64()), ("s", pa.int64())])
+        assert exchange_buckets() > 2
+        blocks = [ray.get(r) for r in out.to_arrow_refs()]
+        assert 1 <= len(blocks) <= 2 and all(b.num_rows for b in blocks)
+        assert all(b.schema.remove_metadata() == want for b in blocks), [b.schema for b in blocks]
+        assert out.schema().base_schema.remove_metadata() == want
+        got = out.to_pandas().sort_values("k").reset_index(drop=True)
+        assert got.to_dict("list") == {"k": ["a", "b"], "n": [2, 1], "s": [4, 2]}
 
-    def test_map_batches_empty_input_runs_udf(self):
-        # output schema differs from input schema; empty inputs must still
-        # produce OUTPUT-schema blocks (the UDF runs on the typed empty)
-        ds = rd.from_pandas(pd.DataFrame({"x": np.arange(6.0)})).repartition(12)
+    def test_all_empty_input_without_columns(self):
+        """Ray Data forwards an empty batch past a map_batches UDF, so an
+        all-empty input may reach an exchange with another stage's columns
+        or none: the join and the groupby return no rows, not a KeyError."""
+        from geo_polygonize_ray.functions import bucketed_groupby, hash_join
 
-        def double(t: pa.Table) -> pa.Table:
-            return pa.table({"y": pa.array(np.asarray(t["x"]) * 2.0, pa.float64())})
-
-        out = ds.map_batches(double, batch_format="pyarrow")
-        for kind, cols, _ in _block_shapes(out):
-            assert cols == ("y",), (kind, cols)
+        bare = rd.from_arrow_refs([ray.put(pa.table({}))])
+        rows = rd.from_pandas(pd.DataFrame({"k": np.arange(4, dtype=np.int64)}))
+        per_key = lambda g: g.groupby("k", as_index=False).agg(n=("k", "size"))  # noqa: E731
+        assert bucketed_groupby(bare, "k", per_key).count() == 0
+        joined = hash_join(
+            rows, bare, on="k", right_on="r", left_cols={"k": "int64"}, right_cols={"r": "int64"}
+        )
+        assert joined.count() == 0
 
 
 @pytest.mark.usefixtures("ray_session")

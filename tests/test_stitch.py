@@ -216,3 +216,24 @@ class TestStitchExchange:
         out = consume(polygonize_dataset_adaptive(ds, cfg, spill_dir=str(tmp_path)))
         assert area_holes(out) == [(1600.0, 0)]
         assert list(tmp_path.iterdir()) == []
+
+
+def test_round_map_spreads_active_tiles():
+    """A round's tiles go round-robin over its reduce tasks by rank: two
+    active tiles and two reduce tasks run as two tasks (a hash of the leaf
+    ids put leaves 64 and 256 in one bucket), and round 0 runs one tile
+    per task while there are no more tiles than tasks."""
+    from geo_polygonize_ray.stages.linework import SaltedTileAssigner
+    from geo_polygonize_ray.stages.stitch import _round_map
+
+    t = linework_table(grid_lines(8))
+    assigner = SaltedTileAssigner((0, 0, 8, 8), 2.0, 0.5, hot={})
+    cols = ["plane_id", "xs", "ys"]
+    out, bucket = _round_map(cols, assigner, None, np.array([64, 256]), 2, t)
+    tile = out["tile_id"].to_numpy()
+    assert set(tile) == {64, 256}
+    assert np.array_equal(bucket, (tile == 256).astype(bucket.dtype))
+
+    out0, bucket0 = _round_map(cols, assigner, None, None, 16, t)
+    pairs = set(zip(out0["tile_id"].to_numpy().tolist(), bucket0.tolist()))
+    assert len(pairs) == 16 and len({b for _, b in pairs}) == 16
