@@ -272,7 +272,7 @@ def oracle_sql() -> dict[str, str]:
         "stratified_sample_docs": curation.Q_STRATIFIED_SQL,
         "mixture_sample_sources": curation.Q_MIXTURE_SQL,
         "ann_topk": ann.Q_ANN_SQL_TEMPLATE.format(qid=0, k=10),
-        "embedding_near_dup_planted": ann.Q_NEAR_DUP_PLANTED_SQL,
+        "embedding_near_dup_planted": ann.build_near_dup_planted_sql(),
         "spatial_join_events": geometry.Q_SPATIAL_JOIN_SQL_TEMPLATE.format(n=12),
         "zonal_stats_events": geometry.Q_ZONAL_SQL_TEMPLATE.format(n=12),
         # unit-grid faces have closed-form geometry, so even the flagship

@@ -70,12 +70,23 @@ def dataset_slices(ds: rd.Dataset, n_parts: int) -> tuple[list[Slice], pa.Schema
     total = sum(n for _, n in blocks)
     if not total:
         return [(ray.put(schema.empty_table()), 0, 0)], schema, 0
-    slices = []
-    for ref, n in blocks:
+    ranges = row_ranges([n for _, n in blocks], n_parts)
+    return [(blocks[i][0], lo, n) for i, lo, n in ranges], schema, total
+
+
+def row_ranges(counts: Sequence[int], n_parts: int) -> list[tuple[int, int, int]]:
+    """Cut parts of ``counts`` rows each into about ``n_parts`` row ranges
+    of similar size (one per non-empty part when there are more parts).
+    Returns (part index, first row, row count) per range, in part order."""
+    total = sum(counts)
+    out = []
+    for i, n in enumerate(counts):
+        if not n:
+            continue
         k = max(1, min(n, round(n_parts * n / total)))
-        bounds = [n * i // k for i in range(k + 1)]
-        slices.extend((ref, lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:]))
-    return slices, schema, total
+        bounds = [n * j // k for j in range(k + 1)]
+        out.extend((i, lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return out
 
 
 def _to_arrow(block) -> pa.Table:
@@ -110,8 +121,12 @@ def _submit_bounded(submit: Callable, items: Sequence) -> list:
     return out
 
 
-def _apply(fn: Callable, block, offset: int, rows: int, *args):
+def _apply(block, offset: int, rows: int, fn: Callable, *args):
     return fn(slice_table(block, offset, rows), *args)
+
+
+def _call(fn: Callable, *args):
+    return fn(*args)
 
 
 def _map_partition(map_fn: Callable, n_out: int, block, offset: int, rows: int):
@@ -135,14 +150,20 @@ def _reduce_partition(reduce_fn: Callable, n_parts: Sequence[int], *parts: pa.Ta
     return out, len(out)
 
 
-_apply_task = ray.remote(_apply)
+_call_task = ray.remote(_call)
 _map_task = ray.remote(_map_partition)
 _reduce_task = ray.remote(num_returns=2)(_reduce_partition)
 
 
+def map_refs(fn: Callable, items: Sequence[tuple], *args) -> list[ray.ObjectRef]:
+    """One task ``fn(*item, *args)`` per item, submitted under the map
+    tasks' bound; returns the result refs without waiting for the last."""
+    return _submit_bounded(lambda item: _call_task.remote(fn, *item, *args), items)
+
+
 def map_slices(fn: Callable, slices: Sequence[Slice], *args) -> list:
     """``[fn(table, *args) for each slice]``, one task per slice."""
-    return ray.get(_submit_bounded(lambda s: _apply_task.remote(fn, *s, *args), slices))
+    return ray.get(map_refs(_apply, slices, fn, *args))
 
 
 def exchange(

@@ -344,7 +344,10 @@ def embedding_near_dup_planted(
     engine earns it through centroid bucketing, hot-bucket subdivision
     and tiled pairwise cosine.  Exact copies land in the same centroid
     bucket by construction (identical similarity rows), so recall is
-    exactly 1 and the run is deterministic."""
+    exactly 1 and the run is deterministic.  A planted pair's cosine is
+    1.0, so the closed form holds only for ``threshold <= 1.0``."""
+    if threshold > 1.0:
+        raise ValueError(f"threshold {threshold} > 1.0: no pair, planted or not, reaches it")
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def plant(batch: pa.Table) -> pa.Table:
@@ -364,9 +367,12 @@ def embedding_near_dup_planted(
     )
 
 
-Q_NEAR_DUP_PLANTED_SQL = """
-SELECT vec_id AS vec_a, vec_id + 10000000 AS vec_b, 1.0 AS cos
-FROM embeddings WHERE vec_id % 50 = 0 ORDER BY vec_a
+def build_near_dup_planted_sql(every: int = 50, id_offset: int = 10_000_000) -> str:
+    """DuckDB twin of embedding_near_dup_planted with the same ``every``
+    and ``id_offset``: one (i, i + offset, cos=1.0) row per planted copy."""
+    return f"""
+SELECT vec_id AS vec_a, vec_id + {int(id_offset)} AS vec_b, 1.0 AS cos
+FROM embeddings WHERE vec_id % {int(every)} = 0 ORDER BY vec_a
 """
 
 

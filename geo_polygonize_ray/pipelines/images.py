@@ -2,22 +2,25 @@
 rasterize -> verify (SURVEY.md §7.1 step 3, BASELINE.json north_star).
 
 Each image tile is an independent planar graph, so this path needs NO
-shuffle at all: a single actor-pool ``map_batches`` stage streams Arrow
-batches of encoded images and emits per-image polygon stats + the verified
-per-row invariant (decoded-pixel PSNR >= threshold vs the round-trip
+shuffle at all: the driver lists the table's Parquet row groups from the
+file footers, and one plain Ray task per row group (or row range of one)
+reads its rows and emits per-image polygon stats + the verified per-row
+invariant (decoded-pixel PSNR >= threshold vs the round-trip
 reconstruction, recomputed phash == stored phash, caption passed through
-byte-identical).  This is the 100 TB scale path: embarrassingly parallel,
-zero-copy binary columns, no materialization.
+byte-identical).  Embarrassingly parallel, zero-copy binary columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 from geo_polygonize_ray.config import PipelineConfig
+from geo_polygonize_ray.functions.exchange import cluster_cpus, map_refs, row_ranges
 from geo_polygonize_ray.local.polygonize import assemble_flat, trace_rings
 from geo_polygonize_ray.raster.codec import decode_image, psnr
 from geo_polygonize_ray.raster.phash import phash64
@@ -39,8 +42,8 @@ IMAGE_RESULT_SCHEMA = pa.schema(
 
 
 class ImageRoundtrip:
-    """Actor-pool stage (ST4): decode + verify + vectorize + polygonize +
-    rasterize per image.  State (codec LUTs, config) built once per actor."""
+    """Roundtrip stage (ST4): decode + verify + vectorize + polygonize +
+    rasterize per image of an Arrow batch of the image table."""
 
     def __init__(self, psnr_threshold_db: float = 40.0, emit_polygons: bool = False):
         self.psnr_threshold_db = psnr_threshold_db
@@ -158,57 +161,45 @@ class ImageRoundtrip:
         )
 
 
-def _image_roundtrip_batch(batch: pa.Table, psnr_threshold_db: float, emit_polygons: bool) -> pa.Table:
-    return ImageRoundtrip(psnr_threshold_db, emit_polygons)(batch)
+def _roundtrip_piece(
+    path: str, row_group: int, offset: int, rows: int, filesystem, stage, batch_size
+) -> pa.Table:
+    """``stage`` over rows [offset, offset + rows) of one row group."""
+    with filesystem.open_input_file(path) as f:
+        t = pq.ParquetFile(f).read_row_group(row_group).slice(offset, rows)
+    step = batch_size or rows
+    return pa.concat_tables([stage(t.slice(lo, step)) for lo in range(0, rows, step)])
 
 
 def image_roundtrip_pipeline(
     image_table_path: str,
     cfg: PipelineConfig | None = None,
-    concurrency=None,
-    batch_size: int = 64,
+    batch_size: int | None = 64,
     emit_polygons: bool = False,
 ) -> rd.Dataset:
-    """read_parquet(image table) -> roundtrip stage -> results.
+    """Image table (one Parquet file or a directory of them) -> one result
+    row per image (or, with ``emit_polygons``, one row per polygon).
 
-    The stage holds no expensive state (no model, trivial __init__), so by
-    default it runs as stateless TASKS — they reuse Ray's shared worker pool
-    and scale elastically; a dedicated actor pool here would pay a
-    per-actor process spawn for no amortization benefit.  Pass
-    ``concurrency`` to force an actor pool (e.g. when subclassing with a
-    real model in __init__).
+    The driver reads only the file footers: every row group is one task,
+    and when there are fewer row groups than cluster CPUs they are cut into
+    row ranges, so a single-file table still uses every CPU.  Each task
+    reads its rows and runs ``ImageRoundtrip`` over ``batch_size``-row
+    slices (``None``: the whole piece in one slab-batched call).
     """
     cfg = cfg or PipelineConfig()
-    import os
-
-    import ray
-
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
-    if os.path.isdir(image_table_path):
-        # sharded table: one read TASK per file, so downstream map tasks
-        # start as soon as each file lands.  A single file is read by one
-        # task whose SplitBlocks output trickles through the streaming-
-        # generator buffer and serializes the map stage (measured ~2.3x
-        # effective concurrency at any cluster size).
-        ds = rd.read_parquet(image_table_path)
-    else:
-        # single file: fewer, larger read blocks — per-task fixed overhead
-        # dominates tiny batches (measured 2.5x faster than 64 blocks)
-        ds = rd.read_parquet(image_table_path, override_num_blocks=max(8, n_cpus // 2))
-    if concurrency is not None:
-        return ds.map_batches(
-            ImageRoundtrip,
-            fn_constructor_kwargs=dict(
-                psnr_threshold_db=cfg.psnr_threshold_db, emit_polygons=emit_polygons
-            ),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-    return ds.map_batches(
-        _image_roundtrip_batch,
-        fn_kwargs=dict(psnr_threshold_db=cfg.psnr_threshold_db, emit_polygons=emit_polygons),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    stage = ImageRoundtrip(cfg.psnr_threshold_db, emit_polygons)
+    ds = pads.dataset(image_table_path, format="parquet")
+    groups = [
+        (frag.path, rg.id, rg.num_rows)
+        for frag in sorted(ds.get_fragments(), key=lambda f: f.path)
+        for rg in frag.row_groups
+    ]
+    pieces = [
+        (*groups[i][:2], lo, n)
+        for i, lo, n in row_ranges([n for _, _, n in groups], cluster_cpus())
+    ]
+    if pieces:
+        refs = map_refs(_roundtrip_piece, pieces, ds.filesystem, stage, batch_size)
+    else:  # no rows: the stage's own typed empty output
+        refs = [ray.put(stage(ds.schema.empty_table()))]
+    return rd.from_arrow_refs(refs).materialize()

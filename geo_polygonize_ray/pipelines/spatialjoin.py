@@ -483,6 +483,11 @@ def spatial_join_broadcast(
     return points.map_batches(probe, batch_format="pyarrow")
 
 
+ZONAL_SCHEMA = pa.schema(
+    [("poly_id", pa.int64()), ("n_points", pa.int64()), ("sum_value", pa.float64())]
+)
+
+
 def zonal_stats(
     points: rd.Dataset,
     polygons: rd.Dataset,
@@ -505,10 +510,13 @@ def zonal_stats(
 
     from geo_polygonize_ray.functions import bucketed_groupby
 
-    return bucketed_groupby(
+    out = bucketed_groupby(
         joined.map_batches(partial, batch_format="pandas"),
         "poly_id",
         lambda g: g.groupby("poly_id", as_index=False).agg(
             n_points=("n_points", "sum"), sum_value=("sum_value", "sum")
         ),
     )
+    # no pairs: Ray Data skips the partials of empty blocks, so the groupby
+    # never sees the result's columns
+    return out if out.count() else rd.from_arrow(ZONAL_SCHEMA.empty_table())

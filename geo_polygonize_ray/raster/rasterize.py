@@ -83,14 +83,18 @@ def rasterize_faces(
         seam = np.asarray(offsets[1:-1], dtype=np.int64) - 1
         valid[seam[(seam >= 0) & (seam < len(dx))]] = False
         axis_aligned = bool(np.all((dx[valid] == 0) | (dy[valid] == 0)))
-    for r in order:
-        s, e = offsets[r], offsets[r + 1]
-        rx, ry = flat_x[s:e], flat_y[s:e]
-        if axis_aligned:
-            mask = _ring_mask_scanline(rx, ry, w, h)
-        else:
-            mask = _ring_mask(rx, ry, w, h)
-        owner[mask] = r
+    if axis_aligned:
+        # _FILL_CHUNK rings per pass, one bit each: the highest set bit is
+        # the last ring in big -> small order whose interior holds the pixel
+        for lo in range(0, len(order), _FILL_CHUNK):
+            rings = order[lo : lo + _FILL_CHUNK]
+            bits = _scanline_bits(flat_x, flat_y, offsets, rings, w, h)
+            hit = bits != 0
+            owner[hit] = rings[np.frexp(bits[hit].astype(np.float64))[1] - 1]
+    else:
+        for r in order:
+            s, e = offsets[r], offsets[r + 1]
+            owner[_ring_mask(flat_x[s:e], flat_y[s:e], w, h)] = r
     # one source pixel per owner ring -> vectorized color gather
     flat_owner = owner.ravel()
     uniq, first_idx = np.unique(flat_owner, return_index=True)
@@ -102,34 +106,41 @@ def rasterize_faces(
     return out
 
 
-def _ring_mask_scanline(rx: np.ndarray, ry: np.ndarray, w: int, h: int) -> np.ndarray:
-    """Even-odd interior of an axis-aligned integer ring via scanline
+# rings per fill pass, one bit each: their sum stays an exact float64
+# (bincount weights, frexp) and the pass holds a few (h, w) arrays
+_FILL_CHUNK = 52
+
+
+def _scanline_bits(
+    flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray, rings: np.ndarray, w: int, h: int
+) -> np.ndarray:
+    """(h, w) uint64 whose bit j is the even-odd interior of the
+    axis-aligned integer ring ``rings[j]`` (at most 52 rings), via scanline
     parity: each VERTICAL edge at column x spanning rows [ylo, yhi) flips
     the parity of every pixel center right of it (c + 0.5 > x <=> c >= x).
     Bit-identical to the crossing-parity PIP for off-grid pixel centers."""
-    vx = rx[:-1] == rx[1:]
-    if not vx.any():
-        return np.zeros((h, w), dtype=bool)
-    x = rx[:-1][vx].astype(np.int64)
-    ya = ry[:-1][vx]
-    yb = ry[1:][vx]
-    ylo = np.minimum(ya, yb).astype(np.int64)
-    yhi = np.maximum(ya, yb).astype(np.int64)
-    ylo = np.clip(ylo, 0, h)
-    yhi = np.clip(yhi, 0, h)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    # every within-ring edge (i, i + 1), labelled with its ring's bit
+    n_edges = np.maximum(offsets[rings + 1] - offsets[rings] - 1, 0)
+    bit = np.repeat(np.arange(len(rings)), n_edges)
+    first = np.cumsum(n_edges) - n_edges
+    i = np.arange(int(n_edges.sum())) + np.repeat(offsets[rings] - first, n_edges)
+    vx = flat_x[i] == flat_x[i + 1]
+    i, bit = i[vx], bit[vx]
+    x = flat_x[i].astype(np.int64)
+    ylo = np.clip(np.minimum(flat_y[i], flat_y[i + 1]).astype(np.int64), 0, h)
+    yhi = np.clip(np.maximum(flat_y[i], flat_y[i + 1]).astype(np.int64), 0, h)
     nrows = np.maximum(yhi - ylo, 0)
     keep = (nrows > 0) & (x < w)
-    x, ylo, nrows = x[keep], ylo[keep], nrows[keep]
+    x, ylo, nrows, bit = x[keep], ylo[keep], nrows[keep], bit[keep]
     total = int(nrows.sum())
-    if total == 0:
-        return np.zeros((h, w), dtype=bool)
-    rows = np.repeat(ylo, nrows) + (
-        np.arange(total) - np.repeat(np.cumsum(nrows) - nrows, nrows)
-    )
+    rows = np.repeat(ylo, nrows) + (np.arange(total) - np.repeat(np.cumsum(nrows) - nrows, nrows))
     cols = np.clip(np.repeat(x, nrows), 0, w - 1)
-    diff = np.zeros((h, w), dtype=np.int32)
-    np.add.at(diff, (rows, cols), 1)
-    return (np.cumsum(diff, axis=1) & 1).astype(bool)
+    # a (pixel, ring) flip that occurs an even number of times cancels
+    key, n = np.unique(((rows * w + cols) << 6) | np.repeat(bit, nrows), return_counts=True)
+    key = key[(n & 1) == 1]
+    flips = np.bincount(key >> 6, weights=np.ldexp(1.0, key & 63), minlength=h * w)
+    return np.bitwise_xor.accumulate(flips.astype(np.uint64).reshape(h, w), axis=1)
 
 
 def _ring_mask(rx: np.ndarray, ry: np.ndarray, w: int, h: int) -> np.ndarray:

@@ -96,11 +96,9 @@ def generate_image_table(
     whole pipeline.
 
     ``shard_rows``: write ``out_path`` as a DIRECTORY of part-NNN.parquet
-    shards instead of one file.  This is the 100 TB input shape (one read
-    task per file) — a single file is read by ONE Ray task whose split
-    blocks trickle through the streaming-generator buffer, serializing the
-    downstream map stage (measured: ~2.3x effective concurrency on the
-    1024-image roundtrip regardless of cluster size).
+    shards instead of one file (the many-file input shape).  The image
+    pipeline runs one task per row group either way, and cuts row groups
+    into row ranges when there are fewer than cluster CPUs.
     """
     ids, blobs, fmts, captions, hashes = [], [], [], [], []
     from geo_polygonize_ray.raster.codec import decode_image
@@ -149,7 +147,8 @@ _CACHE_SHARD_ROWS = 64
 
 def cached_image_table(n_rows: int, w: int = 64, h: int = 64, seed: int = 42) -> str:
     """Generate-once cache under /tmp for tests and benches.  Tables larger
-    than one shard are directories of parquet files (parallel read tasks)."""
+    than one shard are directories of parquet files, smaller ones a single
+    file of one row group."""
     import uuid
 
     sharded = n_rows > _CACHE_SHARD_ROWS

@@ -145,3 +145,25 @@ class TestEmbeddingNearDup:
         got = {(int(a), int(b)) for a, b in zip(out["vec_a"], out["vec_b"])}
         planted = {(i, 1500 + i) for i in range(4)}
         assert planted <= got, f"missing planted pairs: {planted - got}"
+
+    def test_planted_oracle_follows_its_parameters(self):
+        """A non-default planting matches the SQL built for the same
+        parameters; a threshold above the planted cosine is rejected."""
+        import duckdb
+
+        from geo_polygonize_ray.pipelines.ann import (
+            build_near_dup_planted_sql,
+            embedding_near_dup_planted,
+        )
+
+        out = embedding_near_dup_planted(SF_DIR, every=7, id_offset=5000)
+        con = duckdb.connect()
+        con.sql(f"CREATE VIEW embeddings AS SELECT * FROM read_parquet('{SF_DIR}/embeddings.parquet')")
+        want = con.sql(build_near_dup_planted_sql(every=7, id_offset=5000)).df()
+        assert len(want) == 72  # vec_id 0..499, every 7th
+        got = out.sort_values("vec_a").reset_index(drop=True)
+        assert sorted(got.columns) == sorted(want.columns)
+        for col in want.columns:
+            assert np.array_equal(got[col].to_numpy(), want[col].to_numpy()), col
+        with pytest.raises(ValueError):
+            embedding_near_dup_planted(SF_DIR, threshold=1.01)

@@ -1,17 +1,35 @@
 """Flagship image pipeline tests (FIXTURES.md §6.3: per-row invariants)."""
 
+import os
+
 import numpy as np
+import pyarrow.parquet as pq
 import pytest
 
-from geo_polygonize_ray.pipelines.images import image_roundtrip_pipeline
+from geo_polygonize_ray.pipelines.images import IMAGE_RESULT_SCHEMA, image_roundtrip_pipeline
 from geo_polygonize_ray.sources.fixtures import cached_image_table
+
+ROW_COLS = ["image_id", "n_polys", "total_area", "psnr_db", "phash_ok", "caption"]
+
+
+def _rows(ds):
+    return ds.to_pandas()[ROW_COLS].sort_values("image_id").reset_index(drop=True)
+
+
+def _stats_names(ds) -> list[str]:
+    todo, names = [ds._plan.stats()], []
+    while todo:
+        st = todo.pop()
+        todo.extend(st.parents)
+        names.extend(st.metadata)
+    return names
 
 
 @pytest.mark.usefixtures("ray_session")
 class TestImagePipeline:
     def test_roundtrip_invariants(self):
         path = cached_image_table(48)
-        df = image_roundtrip_pipeline(path, concurrency=2, batch_size=16).to_pandas()
+        df = image_roundtrip_pipeline(path, batch_size=16).to_pandas()
         assert len(df) == 48
         # per-row invariants (BASELINE.json input_hint)
         assert df["phash_ok"].all(), "recomputed phash must match stored"
@@ -27,7 +45,51 @@ class TestImagePipeline:
 
     def test_emit_polygons(self):
         path = cached_image_table(6)
-        ds = image_roundtrip_pipeline(path, concurrency=2, batch_size=4, emit_polygons=True)
+        ds = image_roundtrip_pipeline(path, batch_size=4, emit_polygons=True)
         t = ds.to_pandas()
         assert {"image_id", "shell_xs", "area"} <= set(t.columns)
         assert t.groupby("image_id").size().min() >= 1
+
+    def test_no_read_or_map_operator(self):
+        ds = image_roundtrip_pipeline(cached_image_table(48), batch_size=16)
+        assert len(ds.to_pandas()) == 48
+        names = _stats_names(ds)
+        assert names
+        for op in ("ReadParquet", "MapBatches"):
+            assert not any(op in n for n in names), names
+
+    def test_input_layouts_give_identical_rows(self, tmp_path):
+        """A directory of shards, one file of several row groups and one
+        file of one row group (cut into row ranges) give the same rows."""
+        single = cached_image_table(48)
+        table = pq.read_table(single)
+        assert pq.ParquetFile(single).metadata.num_row_groups == 1
+        shards = tmp_path / "shards"
+        os.makedirs(shards)
+        for k in range(3):
+            pq.write_table(table.slice(16 * k, 16), shards / f"part-{k}.parquet")
+        groups = tmp_path / "groups.parquet"
+        pq.write_table(table, groups, row_group_size=10)
+        assert pq.ParquetFile(groups).metadata.num_row_groups == 5
+
+        one = image_roundtrip_pipeline(single, batch_size=16)
+        assert one.num_blocks() > 1  # one task per row range, not per file
+        want = _rows(one)
+        assert len(want) == 48
+        for path in (shards, groups):
+            got = _rows(image_roundtrip_pipeline(str(path), batch_size=16))
+            assert got.equals(want), path
+
+    def test_per_image_and_slab_batched_rows_match(self):
+        path = cached_image_table(48)
+        per_image = _rows(image_roundtrip_pipeline(path, batch_size=1))
+        slab = _rows(image_roundtrip_pipeline(path, batch_size=None))
+        assert len(slab) == 48
+        assert per_image.equals(slab)
+
+    def test_empty_table_is_typed(self, tmp_path):
+        path = tmp_path / "empty.parquet"
+        pq.write_table(pq.read_table(cached_image_table(6)).slice(0, 0), path)
+        ds = image_roundtrip_pipeline(str(path))
+        assert ds.count() == 0
+        assert ds.schema().base_schema.equals(IMAGE_RESULT_SCHEMA)

@@ -14,8 +14,65 @@ from geo_polygonize_ray.raster import (
     rasterize_polygons,
     rgb_to_labels,
 )
+from geo_polygonize_ray.geom.kernels import signed_area_many
 from geo_polygonize_ray.raster.phash import hamming64
+from geo_polygonize_ray.raster.rasterize import _ring_mask
 from geo_polygonize_ray.sources.fixtures import make_scene
+
+
+def _ring_mask_scanline(rx, ry, w, h):
+    """Per-ring scanline parity fill: one ring's even-odd interior."""
+    vx = rx[:-1] == rx[1:]
+    if not vx.any():
+        return np.zeros((h, w), dtype=bool)
+    x = rx[:-1][vx].astype(np.int64)
+    ya = ry[:-1][vx]
+    yb = ry[1:][vx]
+    ylo = np.clip(np.minimum(ya, yb).astype(np.int64), 0, h)
+    yhi = np.clip(np.maximum(ya, yb).astype(np.int64), 0, h)
+    nrows = np.maximum(yhi - ylo, 0)
+    keep = (nrows > 0) & (x < w)
+    x, ylo, nrows = x[keep], ylo[keep], nrows[keep]
+    total = int(nrows.sum())
+    if total == 0:
+        return np.zeros((h, w), dtype=bool)
+    rows = np.repeat(ylo, nrows) + (
+        np.arange(total) - np.repeat(np.cumsum(nrows) - nrows, nrows)
+    )
+    cols = np.clip(np.repeat(x, nrows), 0, w - 1)
+    diff = np.zeros((h, w), dtype=np.int32)
+    np.add.at(diff, (rows, cols), 1)
+    return (np.cumsum(diff, axis=1) & 1).astype(bool)
+
+
+def _per_ring_faces(fx, fy, offs, source):
+    """Oracle for rasterize_faces: fill the CW rings one at a time from the
+    largest to the smallest, each overwriting the owner of its pixels."""
+    h, w, _ = source.shape
+    areas = signed_area_many(fx, fy, offs)
+    cw = np.flatnonzero(areas < -1e-9)
+    owner = np.full((h, w), -1, dtype=np.int64)
+    for r in cw[np.argsort(-np.abs(areas[cw]), kind="stable")]:
+        rx, ry = fx[offs[r] : offs[r + 1]], fy[offs[r] : offs[r + 1]]
+        owner[_ring_mask_scanline(rx, ry, w, h)] = r
+    out = source.copy()
+    for r in np.unique(owner[owner >= 0]):
+        mask = owner == r
+        ys, xs = np.nonzero(mask)
+        out[mask] = source[ys[0], xs[0]]
+    return out
+
+
+def _random_label_image(seed):
+    """Blocky random labels of a 5-color palette: many rings, nested and
+    touching, over more than one fill pass."""
+    rng = np.random.default_rng(seed)
+    h, w = (int(v) for v in rng.integers(3, 72, 2))
+    by, bx = (int(v) for v in rng.integers(1, 5, 2))
+    lab = rng.integers(0, 5, (h // by + 1, w // bx + 1))
+    lab = np.repeat(np.repeat(lab, by, 0), bx, 1)[:h, :w]
+    palette = rng.integers(0, 256, (5, 3)).astype(np.uint8)
+    return palette[lab]
 
 
 class TestCodec:
@@ -91,12 +148,49 @@ class TestVectorizeRoundtrip:
         # every pixel either owned by the triangle or falls back to source —
         # both are 50 here; the REAL check is the mask: recompute ownership
         # via the exact PIP path and compare to what rasterize_faces used
-        from geo_polygonize_ray.raster.rasterize import _ring_mask, _ring_mask_scanline
-
         exact = _ring_mask(fx, fy, 8, 8)
         wrong = _ring_mask_scanline(fx, fy, 8, 8)
         assert not np.array_equal(exact, wrong)  # scanline WOULD misfill
         assert np.array_equal(out, img)  # but rasterize_faces stays exact
+
+    @pytest.mark.parametrize(
+        "img",
+        [make_scene(i)[0] for i in range(48)]
+        + [make_scene(i)[0] for i in (71, 116)]
+        + [_random_label_image(s) for s in range(24)],
+    )
+    def test_one_pass_fill_matches_per_ring_fill(self, img):
+        x0, y0, x1, y1 = labels_to_linework(rgb_to_labels(img))
+        fx, fy, offs = trace_rings(x0, y0, x1, y1)
+        out = rasterize_faces(fx, fy, offs, img)
+        assert np.array_equal(out, _per_ring_faces(fx, fy, offs, img))
+        assert np.array_equal(out, img)
+
+    def test_edge_walked_twice_by_one_ring(self):
+        """A vertical bridge from the outer square to an inner one is walked
+        up and down by the same face ring: its two flips of each pixel
+        cancel, as in the per-ring fill."""
+
+        def unit_edges(pts):
+            xs, ys = [], []
+            for (ax, ay), (bx, by) in zip(pts[:-1], pts[1:]):
+                n = int(abs(bx - ax) + abs(by - ay))
+                xs += list(np.linspace(ax, bx, n + 1))
+                ys += list(np.linspace(ay, by, n + 1))
+            return [(xs[i], ys[i], xs[i + 1], ys[i + 1]) for i in range(len(xs) - 1)
+                    if (xs[i], ys[i]) != (xs[i + 1], ys[i + 1])]
+
+        segs = (
+            unit_edges([(0, 0), (8, 0), (8, 8), (0, 8), (0, 0)])
+            + unit_edges([(3, 3), (5, 3), (5, 5), (3, 5), (3, 3)])
+            + unit_edges([(4, 0), (4, 3)])
+        )
+        x0, y0, x1, y1 = (np.array(c, dtype=float) for c in zip(*segs))
+        fx, fy, offs = trace_rings(x0, y0, x1, y1)
+        img = np.random.default_rng(5).integers(0, 256, (8, 8, 3)).astype(np.uint8)
+        out = rasterize_faces(fx, fy, offs, img)
+        assert np.array_equal(out, _per_ring_faces(fx, fy, offs, img))
+        assert len(np.unique(out.reshape(-1, 3), axis=0)) == 2  # frame and inner square
 
     def test_single_color_image(self):
         img = np.full((16, 16, 3), 77, dtype=np.uint8)

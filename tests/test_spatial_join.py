@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 import ray.data as rd
@@ -278,8 +279,11 @@ class TestSkewAndEdgeCases:
                  "value": [3.0, 4.0]}
             )
         )
-        zs = zonal_stats(pts_v, empty_polys, "value").to_pandas()
-        assert len(zs) == 0
+        zs = zonal_stats(pts_v, empty_polys, "value")
+        assert len(zs.to_pandas()) == 0
+        schema = zs.schema().base_schema
+        assert schema.names == ["poly_id", "n_points", "sum_value"]
+        assert schema.types == [pa.int64(), pa.int64(), pa.float64()]
 
     def test_copartitioned_empty_polygon_side(self):
         empty_polys = _grid_polygons(4).filter(lambda r: False).materialize()
