@@ -398,6 +398,22 @@ def snap_to_grid(c: np.ndarray, grid_size: float) -> np.ndarray:
     return r * grid_size
 
 
+def explode_index(
+    offsets: np.ndarray, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Segment explode over flat linestring storage (src/polygonizer.rs:86-100):
+    the flat index of every segment's first point (its second point is the
+    next index), each linestring's consecutive pairs in order, plus the
+    per-linestring segment counts.  ``rows`` picks and orders the
+    linestrings (default: all, in storage order)."""
+    starts, ends = offsets[:-1], offsets[1:]
+    if rows is not None:
+        starts, ends = starts[rows], ends[rows]
+    nseg = np.maximum(ends - starts - 1, 0)
+    pos = np.arange(int(nseg.sum())) - np.repeat(np.cumsum(nseg) - nseg, nseg)
+    return np.repeat(starts, nseg) + pos, nseg
+
+
 # ---------------------------------------------------------------------------
 # K7: segment x segment intersection (proper + collinear overlap)
 # geo::line_intersection semantics as consumed at src/noding/snap.rs:140-167

@@ -15,8 +15,9 @@ simplified polyline; chord endpoints are always kept.  Closed rings
 seeded with the farthest-from-start vertex as a second anchor (the
 first==last chord is a degenerate point and carries no direction), and a
 minimum of 4 stored vertices (3 distinct points) is enforced per closed
-ring, so no eps can collapse a ring below a valid positive-area triangle
-for the engine's centroid/area kernels.
+ring, so no eps can collapse a ring below a triangle: non-degenerate
+where the input permits (a ring whose vertices are all collinear has zero
+area whatever is kept).
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def simplify_mask(
     # minimum-vertex guarantee: a closed ring that kept only (start, far,
     # closing duplicate) has 2 distinct points and zero area; force-keep the
     # interior vertex farthest from the start–far chord so every surviving
-    # closed ring stores >= 4 vertices (a valid triangle)
+    # closed ring stores >= 4 vertices (a triangle, non-degenerate where the
+    # input permits: if every vertex lies on the chord, the area stays 0)
     if len(cs):
         kept_per = np.add.reduceat(keep.astype(np.int64), offsets[:-1])[has_int][closed]
         thin = (kept_per < 4) & (ce - cs >= 3)

@@ -1,3 +1,3 @@
-from geo_polygonize_ray.local.polygonize import LocalPolygonizer, Polygon, polygonize_lines
+from geo_polygonize_ray.local.polygonize import Polygon, polygonize_lines
 
-__all__ = ["LocalPolygonizer", "Polygon", "polygonize_lines"]
+__all__ = ["Polygon", "polygonize_lines"]

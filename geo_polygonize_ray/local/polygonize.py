@@ -1,18 +1,23 @@
-"""Single-partition polygonizer (reference src/polygonizer.rs, all 8 phases).
+"""Single-cell polygonizer kernel (reference src/polygonizer.rs, all 8 phases).
 
-This is the per-cell worker payload of the Ray engine — NOT a user API.  One
-call processes one partition's linework entirely in numpy, mirroring the
-reference's phase sequence (src/polygonizer.rs:112-262):
+``polygonize_soup`` is the engine's one per-cell phase sequence.  Every
+caller that wants polygons runs it on one cell's segment soup, entirely in
+numpy, mirroring src/polygonizer.rs:112-262: the exchange reduce tasks
+(stages/trace.TilePolygonizer, which also serves the in-process fast path)
+and the convenience API ``polygonize_lines``.
 
-  1. build graph (dedup lines -> explode -> [node] -> bulk load)
-  2. angular sort            5. classify shells/holes (signed area)
-  3. prune dangles           6. promote twin-less CW rings to shells
-  4. trace edge rings        7. assign holes to min-area containing shell
-                             8. assemble + sliver filter
+  1. [node] snap, canonicalize + dedup, split to fixpoint (SnapNoder)
+  2. build graph + angular sort    5. classify shells/holes (signed area)
+  3. prune dangles                 6. promote twin-less CW rings to shells
+  4. trace edge rings              7. assign holes to min-area containing shell
+                                   8. assemble + sliver filter [+ ownership]
 
-The distributed pipeline (pipelines/polygonize.py) hash-exchanges linework
-by spatial cell and runs this inside the exchange's reduce tasks, then
-applies the centroid-ownership filter (reference src/tiling.rs:99-106).
+Its output is ``assemble_flat``'s flat dict (values + offsets, Arrow-ready);
+``Polygon`` is a view over it (``polygon_views``) for GeoJSON, the
+convenience API and tests.  Two callers keep their own sequence: the stitch
+tracer (stages/stitch.py) reads the pruned-vertex mask between phases 3 and
+4, and the image round trip (pipelines/images.py) rasterizes the traced
+rings before assembling them.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from geo_polygonize_ray.geom.kernels import (
+    explode_index,
     pair_points_in_rings,
-    ring_centroid,
     ring_centroid_many,
     signed_area,
     signed_area_many,
@@ -35,16 +40,13 @@ from geo_polygonize_ray.local.noding import SnapNoder
 
 @dataclass
 class Polygon:
-    """shell is a closed (N,2)-ish pair of arrays; holes are closed rings."""
+    """One assembled polygon: a closed shell ring and closed hole rings,
+    each a slice of the flat assembly arrays (``polygon_views``)."""
 
     shell_x: np.ndarray
     shell_y: np.ndarray
     holes_x: list[np.ndarray] = field(default_factory=list)
     holes_y: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def shell_area(self) -> float:
-        return abs(signed_area(self.shell_x[:-1], self.shell_y[:-1]))
 
     @property
     def area(self) -> float:
@@ -55,90 +57,28 @@ class Polygon:
             a += signed_area(hx[:-1], hy[:-1])  # holes traced CW -> negative
         return abs(a)
 
-    def centroid(self) -> tuple[float, float]:
-        """Area-weighted centroid INCLUDING holes (geo's Polygon::centroid
-        semantics used for tiling ownership at src/tiling.rs:90): the hole
-        regions' first moments are subtracted from the shell's."""
-        sx, sy = ring_centroid(self.shell_x, self.shell_y)
-        a = abs(signed_area(self.shell_x[:-1], self.shell_y[:-1]))
-        mx, my, atot = sx * a, sy * a, a
-        for hx, hy in zip(self.holes_x, self.holes_y):
-            ha = abs(signed_area(hx[:-1], hy[:-1]))
-            hcx, hcy = ring_centroid(hx, hy)
-            mx -= hcx * ha
-            my -= hcy * ha
-            atot -= ha
-        if atot == 0.0:
-            return sx, sy
-        return mx / atot, my / atot
 
-
-def dedup_linestrings(lines: list[np.ndarray]) -> list[np.ndarray]:
-    """Stable sort by first coordinate, remove consecutive identical
-    linestrings (src/polygonizer.rs:75-83: sort_by first coord then dedup)."""
-    if not lines:
-        return lines
-    firsts = np.array(
-        [(ls[0, 0], ls[0, 1]) if len(ls) else (0.0, 0.0) for ls in lines], dtype=np.float64
-    )
-    order = np.lexsort((firsts[:, 1], firsts[:, 0]))
-    out: list[np.ndarray] = []
-    for idx in order:
-        ls = lines[idx]
-        if out and out[-1].shape == ls.shape and np.array_equal(out[-1], ls):
-            continue
-        out.append(ls)
+def polygon_views(flat: dict) -> list[Polygon]:
+    """Polygons over ``assemble_flat``-layout arrays, in output order; every
+    ring is a slice of the flat values (offsets may be absolute, as in an
+    Arrow list column's buffers)."""
+    sx, sy = flat["shell_values_x"], flat["shell_values_y"]
+    hx, hy = flat["hole_values_x"], flat["hole_values_y"]
+    so = flat["shell_offsets"].tolist()
+    hr = flat["hole_ring_offsets"].tolist()
+    ph = flat["poly_hole_offsets"].tolist()
+    out = []
+    for i in range(len(so) - 1):
+        holes = range(ph[i], ph[i + 1])
+        out.append(
+            Polygon(
+                sx[so[i] : so[i + 1]],
+                sy[so[i] : so[i + 1]],
+                [hx[hr[j] : hr[j + 1]] for j in holes],
+                [hy[hr[j] : hr[j + 1]] for j in holes],
+            )
+        )
     return out
-
-
-def explode_to_segments(
-    lines: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """LineStrings -> consecutive-pair segments (src/polygonizer.rs:86-100)."""
-    xs0, ys0, xs1, ys1 = [], [], [], []
-    for ls in lines:
-        if len(ls) < 2:
-            continue
-        xs0.append(ls[:-1, 0])
-        ys0.append(ls[:-1, 1])
-        xs1.append(ls[1:, 0])
-        ys1.append(ls[1:, 1])
-    if not xs0:
-        z = np.empty(0, dtype=np.float64)
-        return z, z.copy(), z.copy(), z.copy()
-    return (
-        np.concatenate(xs0).astype(np.float64),
-        np.concatenate(ys0).astype(np.float64),
-        np.concatenate(xs1).astype(np.float64),
-        np.concatenate(ys1).astype(np.float64),
-    )
-
-
-class LocalPolygonizer:
-    """Mirror of reference ``Polygonizer`` config + phases (src/polygonizer.rs:27-54)."""
-
-    def __init__(self, node_input: bool = False, snap_grid_size: float = 1e-10,
-                 max_noding_iters: int = 10):
-        self.node_input = node_input
-        self.snap_grid_size = snap_grid_size
-        self.max_noding_iters = max_noding_iters
-        self._lines: list[np.ndarray] = []
-
-    def add_linestring(self, coords: np.ndarray) -> None:
-        """coords: (N, 2) float array. Polygon rings are added as linework
-        by the caller (extract_lines semantics, src/polygonizer.rs:265-288)."""
-        self._lines.append(np.asarray(coords, dtype=np.float64))
-
-    def polygonize(self) -> list[Polygon]:
-        lines = self._lines
-        if self.node_input:
-            lines = dedup_linestrings(lines)
-            x0, y0, x1, y1 = explode_to_segments(lines)
-            noder = SnapNoder(self.snap_grid_size, self.max_noding_iters)
-            x0, y0, x1, y1 = noder.node(x0, y0, x1, y1)
-        else:
-            x0, y0, x1, y1 = explode_to_segments(lines)
-        return polygonize_segments(x0, y0, x1, y1)
 
 
 def polygonize_lines(
@@ -147,10 +87,42 @@ def polygonize_lines(
     snap_grid_size: float = 1e-10,
     max_noding_iters: int = 10,
 ) -> list[Polygon]:
-    p = LocalPolygonizer(node_input, snap_grid_size, max_noding_iters)
-    for ls in lines:
-        p.add_linestring(ls)
-    return p.polygonize()
+    """Convenience API (reference ``Polygonizer``, src/polygonizer.rs:27-54):
+    (N, 2) linestrings -> one ``polygonize_soup`` cell -> Polygon views.
+    Polygon rings are passed as linework (extract_lines semantics,
+    src/polygonizer.rs:265-288)."""
+    pts = [np.asarray(ls, dtype=np.float64).reshape(-1, 2) for ls in lines]
+    offsets = np.concatenate([[0], np.cumsum([len(p) for p in pts])]).astype(np.int64)
+    xy = np.concatenate(pts) if pts else np.empty((0, 2))
+    i, _ = explode_index(offsets)
+    flat = polygonize_soup(
+        xy[i, 0], xy[i, 1], xy[i + 1, 0], xy[i + 1, 1],
+        node_input=node_input,
+        snap_grid_size=snap_grid_size,
+        max_noding_iters=max_noding_iters,
+    )
+    return polygon_views(flat)
+
+
+def polygonize_soup(
+    x0: np.ndarray,
+    y0: np.ndarray,
+    x1: np.ndarray,
+    y1: np.ndarray,
+    *,
+    node_input: bool = False,
+    snap_grid_size: float = 1e-10,
+    max_noding_iters: int = 10,
+    owner_rect: tuple[float, float, float, float] | None = None,
+) -> dict[str, np.ndarray]:
+    """Phases 1-8 over one cell's segment soup -> ``assemble_flat`` dict.
+    ``node_input`` runs the snap noder first (the reference's node_input;
+    without it the soup must already be noded); ``owner_rect`` applies the
+    tiling sliver + centroid-ownership filter."""
+    if node_input:
+        x0, y0, x1, y1 = SnapNoder(snap_grid_size, max_noding_iters).node(x0, y0, x1, y1)
+    flat_x, flat_y, offsets = trace_rings(x0, y0, x1, y1)
+    return assemble_flat(flat_x, flat_y, offsets, owner_rect=owner_rect)
 
 
 def trace_rings(x0, y0, x1, y1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,15 +134,8 @@ def trace_rings(x0, y0, x1, y1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return graph.get_edge_rings()
 
 
-def polygonize_segments(x0, y0, x1, y1) -> list[Polygon]:
-    """Phases 2-8 over an already-noded segment soup."""
-    flat_x, flat_y, offsets = trace_rings(x0, y0, x1, y1)
-    return assemble_polygons(flat_x, flat_y, offsets)
-
-
 def _assemble_core(flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray):
-    """Phases 5-7: classify, promote, assign holes (shared by the object and
-    flat-array assembly paths).
+    """Phases 5-7 of ``assemble_flat``: classify, promote, assign holes.
 
     Exact reference semantics:
       * |area| < 1e-9 rings dropped as degenerate   (src/polygonizer.rs:138)
@@ -332,43 +297,6 @@ def _assemble_core(flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray):
         shells, n_orig, shell_areas, hole_ids, assigned, areas, cx_all, cy_all,
         (minx, miny, maxx, maxy),
     )
-
-
-def assemble_polygons(flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray) -> list[Polygon]:
-    """Phases 5-8 -> list of Polygon objects (final residual <= 1e-6 drop,
-    src/polygonizer.rs:255-257)."""
-    if len(offsets) - 1 == 0:
-        return []
-    shells, n_orig, shell_areas, hole_ids, assigned, areas, _, _, _ = _assemble_core(
-        flat_x, flat_y, offsets
-    )
-
-    def ring(r: int) -> tuple[np.ndarray, np.ndarray]:
-        s, e = offsets[r], offsets[r + 1]
-        return flat_x[s:e], flat_y[s:e]
-
-    hole_lists: dict[int, list[int]] = {}
-    for hi in range(len(hole_ids)):
-        if assigned[hi] >= 0:
-            hole_lists.setdefault(int(assigned[hi]), []).append(int(hole_ids[hi]))
-
-    result: list[Polygon] = []
-    for si in range(len(shells)):
-        rid = int(shells[si])
-        rx, ry = ring(rid)
-        if si >= n_orig:  # promoted: rewind CCW (src/polygonizer.rs:165-168)
-            rx, ry = rx[::-1].copy(), ry[::-1].copy()
-        holes = hole_lists.get(si, [])
-        residual = shell_areas[si]
-        hx, hy = [], []
-        for h in holes:
-            ax, ay = ring(h)
-            hx.append(ax)
-            hy.append(ay)
-            residual -= abs(areas[h])
-        if abs(residual) > 1e-6:
-            result.append(Polygon(rx, ry, hx, hy))
-    return result
 
 
 def assemble_flat(

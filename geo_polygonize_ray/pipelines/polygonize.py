@@ -50,7 +50,8 @@ from geo_polygonize_ray.functions.exchange import (
     map_slices,
 )
 from geo_polygonize_ray.functions.sketch import splitmix64
-from geo_polygonize_ray.local.polygonize import Polygon, polygonize_lines
+from geo_polygonize_ray.geom.kernels import explode_index
+from geo_polygonize_ray.local.polygonize import Polygon
 from geo_polygonize_ray.sources.fixtures import linework_table
 from geo_polygonize_ray.stages.linework import (
     SaltedSegmentAssigner,
@@ -114,16 +115,11 @@ def segment_tile_counts(t: pa.Table, bbox, tile_size: float, buffer: float) -> p
         return empty
     xs, xo = _list_bounds(t["xs"])
     ys, _ = _list_bounds(t["ys"])
-    if len(xs) < 2:
+    i, _ = explode_index(xo)
+    if not len(i):
         return empty
-    # per consecutive-point-pair segment bboxes (pairs spanning a row
-    # boundary are masked out)
-    valid = np.ones(len(xs) - 1, dtype=bool)
-    cross = xo[1:-1] - 1
-    cross = cross[(cross >= 0) & (cross < len(valid))]
-    valid[cross] = False
-    sx0, sx1 = xs[:-1][valid], xs[1:][valid]
-    sy0, sy1 = ys[:-1][valid], ys[1:][valid]
+    sx0, sx1 = xs[i], xs[i + 1]
+    sy0, sy1 = ys[i], ys[i + 1]
     # big tables: stride-sample the flattened segment stream and scale
     # counts back up — the salting decision needs a skew ESTIMATE, and its
     # threshold already carries a 4x safety factor.  Keeps one histogram
@@ -191,55 +187,12 @@ def polygonize_table_local(t: pa.Table, cfg: PipelineConfig | None = None) -> pa
     """In-process fast path: linework Arrow table -> polygon Arrow table with
     NO Ray involvement (no object-store round trip, no Dataset construction)
     — a sub-threshold untiled job is one shuffle group of single-core work,
-    so every Ray hop it skips is pure latency (round-2 judge item #5).
-    Semantics identical to the distributed path: same tracer, one logical
-    tile per plane."""
+    so every Ray hop it skips is pure latency.  It is the untiled exchange's
+    map and reduce functions run in this process: one cell per plane."""
     cfg = cfg or PipelineConfig(node_input=True)
-    from geo_polygonize_ray.stages.linework import _list_bounds, stable_plane_key
-
-    local_tiler = TilePolygonizer(
-        assigner=None,
-        node_input=cfg.node_input,
-        snap_grid_size=cfg.snap_grid_size,
-        max_noding_iters=cfg.max_noding_iters,
-        ownership=False,
-    )
-    has_plane = "plane_id" in t.schema.names
-    xs, xo = _list_bounds(t["xs"])
-    ys, _ = _list_bounds(t["ys"])
-    # explode straight from the flat list buffers (round-3 judge item #5:
-    # the per-linestring np.stack list build was ~2 ms of a 40 ms job)
-    lens = np.diff(xo)
-    nseg = np.maximum(lens - 1, 0)
-    total = int(nseg.sum())
-    idx = np.repeat(xo[:-1], nseg) + (
-        np.arange(total) - np.repeat(np.cumsum(nseg) - nseg, nseg)
-    )
-    sx0, sy0 = xs[idx], ys[idx]
-    sx1, sy1 = xs[idx + 1], ys[idx + 1]
-    outs = []
-    if not has_plane:
-        outs.append(local_tiler._polygonize_raw_segments(sx0, sy0, sx1, sy1, tile_id=0))
-    else:
-        col = t["plane_id"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        enc = col.dictionary_encode()
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        names = enc.dictionary.to_pylist()
-        seg_code = np.repeat(codes, nseg)
-        if not names:  # empty multi-plane input: keep the schema stable
-            pt = local_tiler._polygonize_raw_segments(sx0, sy0, sx1, sy1, tile_id=0)
-            outs.append(pt.append_column("plane_key", pa.array([], pa.int64())))
-        for c in sorted(range(len(names)), key=lambda c: names[c]):
-            m = seg_code == c
-            pt = local_tiler._polygonize_raw_segments(sx0[m], sy0[m], sx1[m], sy1[m], tile_id=0)
-            pt = pt.append_column(
-                "plane_key",
-                pa.array(np.full(pt.num_rows, stable_plane_key(names[c]), dtype=np.int64)),
-            )
-            outs.append(pt)
-    return pa.concat_tables(outs)
+    cols = [c for c in ("plane_id", "xs", "ys") if c in t.schema.names]
+    group, _ = _untiled_map(cols, 1, t)
+    return _untiled_tracer(cfg)(group)
 
 
 def _exchange_bucket(t: pa.Table, n_buckets: int) -> np.ndarray:
@@ -259,6 +212,16 @@ def _untiled_map(cols: list[str], n_buckets: int, t: pa.Table):
     t = add_plane_key(t.select(cols))
     t = t.append_column("tile_id", pa.array(np.zeros(t.num_rows, dtype=np.int64)))
     return t, _exchange_bucket(t, n_buckets)
+
+
+def _untiled_tracer(cfg: PipelineConfig) -> TilePolygonizer:
+    """Exchange reduce side, untiled: no owner rect, noding as configured."""
+    return TilePolygonizer(
+        assigner=None,
+        node_input=cfg.node_input,
+        snap_grid_size=cfg.snap_grid_size,
+        max_noding_iters=cfg.max_noding_iters,
+    )
 
 
 def _tiled_map(cols: list[str], assigner: SaltedSegmentAssigner, n_buckets: int, t: pa.Table):
@@ -294,8 +257,7 @@ def polygonize_dataset(
     slices, schema, n_rows = dataset_slices(ds, n_cpus)
 
     if not cfg.tiled() and cfg.local_fastpath_rows and n_rows <= cfg.local_fastpath_rows:
-        # small-input fast path: run in-process (see PipelineConfig note),
-        # through the same vectorized flat-assembly path as the tracer
+        # small-input fast path: run in-process (see PipelineConfig note)
         return rd.from_arrow(polygonize_table_local(fetch(slices), cfg))
 
     # map tasks read only these columns: payload never enters the exchange
@@ -305,13 +267,7 @@ def polygonize_dataset(
         # multi-plane input parallelizes across planes
         n_buckets = cfg.n_buckets or (max(2, n_cpus * 2) if "plane_id" in cols else 1)
         map_fn = functools.partial(_untiled_map, cols, n_buckets)
-        tracer = TilePolygonizer(
-            assigner=None,
-            node_input=cfg.node_input,
-            snap_grid_size=cfg.snap_grid_size,
-            max_noding_iters=cfg.max_noding_iters,
-            ownership=False,
-        )
+        tracer = _untiled_tracer(cfg)
     else:
         if bbox is None:
             bbox = _slices_bbox(slices)
@@ -332,7 +288,6 @@ def polygonize_dataset(
             node_input=True,  # per-tile noding, src/tiling.rs:62-63
             snap_grid_size=cfg.snap_grid_size,
             max_noding_iters=cfg.max_noding_iters,
-            ownership=True,
         )
     # materialize(): consuming an already-executed plan starts no streaming
     # executor.  The executor's reference cycle would keep every output

@@ -262,27 +262,6 @@ def skewed_grid_lines(
     return lines, expected
 
 
-def segments_table(lines: list[np.ndarray]) -> pa.Table:
-    """Explode linestrings to an Arrow segments table (the hot shuffle payload
-    layout from SURVEY.md §1.3)."""
-    x0, y0, x1, y1, line_id = [], [], [], [], []
-    for li, ls in enumerate(lines):
-        x0.append(ls[:-1, 0])
-        y0.append(ls[:-1, 1])
-        x1.append(ls[1:, 0])
-        y1.append(ls[1:, 1])
-        line_id.append(np.full(len(ls) - 1, li, dtype=np.int64))
-    return pa.table(
-        {
-            "line_id": np.concatenate(line_id),
-            "x0": np.concatenate(x0),
-            "y0": np.concatenate(y0),
-            "x1": np.concatenate(x1),
-            "y1": np.concatenate(y1),
-        }
-    )
-
-
 def linework_table(lines: list[np.ndarray], plane_id: str = "plane-0") -> pa.Table:
     """LineStrings as an Arrow list-typed linework table (SURVEY.md §1.3).
 

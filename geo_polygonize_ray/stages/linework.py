@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from geo_polygonize_ray.geom.kernels import bbox_many
+from geo_polygonize_ray.geom.kernels import bbox_many, explode_index
 
 
 def _list_bounds(col: pa.ChunkedArray | pa.ListArray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,13 +146,7 @@ def explode_linework_to_segments(batch: pa.Table) -> pa.Table:
     """
     xs, xo = _list_bounds(batch["xs"])
     ys, _ = _list_bounds(batch["ys"])
-    n = batch.num_rows
-    lens = np.diff(xo)
-    nseg = np.maximum(lens - 1, 0)
-    total = int(nseg.sum())
-    rep = np.repeat(np.arange(n), nseg)
-    pos = np.arange(total) - np.repeat(np.cumsum(nseg) - nseg, nseg)
-    idx = np.repeat(xo[:-1], nseg) + pos
+    idx, nseg = explode_index(xo)
     cols = {
         "x0": pa.array(xs[idx], pa.float64()),
         "y0": pa.array(ys[idx], pa.float64()),
@@ -160,7 +154,7 @@ def explode_linework_to_segments(batch: pa.Table) -> pa.Table:
         "y1": pa.array(ys[idx + 1], pa.float64()),
     }
     if "plane_key" in batch.schema.names:
-        cols["plane_key"] = pa.array(batch["plane_key"].to_numpy()[rep])
+        cols["plane_key"] = pa.array(np.repeat(batch["plane_key"].to_numpy(), nseg))
     return pa.table(cols)
 
 

@@ -64,11 +64,7 @@ from geo_polygonize_ray.functions.exchange import (
 )
 from geo_polygonize_ray.local.graph import PlanarGraph
 from geo_polygonize_ray.local.noding import SnapNoder
-from geo_polygonize_ray.local.polygonize import (
-    assemble_flat,
-    dedup_linestrings,
-    explode_to_segments,
-)
+from geo_polygonize_ray.local.polygonize import assemble_flat
 from geo_polygonize_ray.pipelines.polygonize import _slices_bbox
 from geo_polygonize_ray.stages.linework import (
     _SALT_SUBS,
@@ -76,7 +72,11 @@ from geo_polygonize_ray.stages.linework import (
     add_plane_key,
     linework_bboxes,
 )
-from geo_polygonize_ray.stages.trace import POLYGON_SCHEMA, flat_to_table
+from geo_polygonize_ray.stages.trace import (
+    POLYGON_SCHEMA,
+    flat_to_table,
+    plane_tile_line_groups,
+)
 
 RESOLVE_SCHEMA = POLYGON_SCHEMA.append(pa.field("resolved", pa.bool_()))
 
@@ -105,11 +105,9 @@ class EscalatingTilePolygonizer:
             empty = empty.append_column("plane_key", pa.array([], pa.int64()))
         if group.num_rows == 0:
             return empty
-        from geo_polygonize_ray.stages.trace import plane_tile_line_groups
-
         out = []
-        for tid, plane_key, lines in plane_tile_line_groups(group):
-            t = self._tile(lines, tid)
+        for tid, plane_key, segs in plane_tile_line_groups(group):
+            t = self._tile(segs, tid)
             if has_plane:
                 t = t.append_column(
                     "plane_key", pa.array(np.full(t.num_rows, plane_key, dtype=np.int64))
@@ -136,15 +134,14 @@ class EscalatingTilePolygonizer:
         y1 = np.minimum(y0 + a.tile_size, a.maxy)
         return np.stack([x0 - buf, y0 - buf, x1 + buf, y1 + buf], axis=1)
 
-    def _tile(self, lines: list[np.ndarray], tile_id: int) -> pa.Table:
+    def _tile(self, segs: tuple[np.ndarray, ...], tile_id: int) -> pa.Table:
         ax0, ay0, ax1, ay1 = self.assigner.leaf_rect(tile_id)
         buf = self.assigner.buffer
         wx0, wy0, wx1, wy1 = ax0 - buf, ay0 - buf, ax1 + buf, ay1 + buf
 
-        lines = dedup_linestrings(lines)
-        x0, y0, x1, y1 = explode_to_segments(lines)
-        noder = SnapNoder(self.snap_grid_size, self.max_noding_iters)
-        x0, y0, x1, y1 = noder.node(x0, y0, x1, y1)
+        # polygonize_soup's phases, with the pruned-vertex mask read between
+        # dangle pruning and ring tracing
+        x0, y0, x1, y1 = SnapNoder(self.snap_grid_size, self.max_noding_iters).node(*segs)
         graph = PlanarGraph(x0, y0, x1, y1)
         graph.sort_edges()
         graph.prune_dangles()

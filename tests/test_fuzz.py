@@ -2,6 +2,7 @@
 for arbitrary segment soups (FIXTURES.md §6)."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +67,37 @@ def test_closed_grid_of_random_offsets(n, seed):
     assert np.allclose(sorted(p.area for p in polys), s * s, rtol=1e-9)
 
 
+# Metamorphic transforms: an integer translation and a 90-degree rotation
+# map the arrangement onto itself, so polygon count, areas and hole counts
+# must not change (float rounding moves areas by far less than 1e-6).
+TRANSFORMS = {
+    "translate": lambda xy: xy + np.array([37.0, -12.0]),
+    "rotate90": lambda xy: np.stack([-xy[..., 1], xy[..., 0]], axis=-1),
+}
+
+
+def _random_soup(seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0, 100, (int(rng.integers(20, 60)), 2, 2))
+    return [pts[i] for i in range(len(pts))]
+
+
+def assert_same_shape(a, b):
+    assert len(a) == len(b)
+    assert np.allclose(sorted(p.area for p in a), sorted(p.area for p in b), rtol=0, atol=1e-6)
+    assert sorted(len(p.holes_x) for p in a) == sorted(len(p.holes_x) for p in b)
+
+
+@pytest.mark.parametrize("transform", list(TRANSFORMS))
+@pytest.mark.parametrize("seed", range(6))
+def test_local_invariant_under_translation_and_rotation(seed, transform):
+    lines = _random_soup(seed)
+    moved = [TRANSFORMS[transform](ls) for ls in lines]
+    assert_same_shape(
+        polygonize_lines(moved, node_input=True), polygonize_lines(lines, node_input=True)
+    )
+
+
 class TestDistributedEquivalenceFuzz:
     """Random soups + random tile configs: distributed == local, always.
     (Plain parametrized randomness rather than hypothesis: each example runs
@@ -97,6 +129,23 @@ class TestDistributedEquivalenceFuzz:
             )
 
         assert sorted(map(key, dist)) == sorted(map(key, local))
+
+    @_pytest.mark.usefixtures("ray_session")
+    @_pytest.mark.parametrize("transform", list(TRANSFORMS))
+    @_pytest.mark.parametrize("seed", [3, 29])
+    def test_tiled_invariant_under_translation_and_rotation(self, seed, transform):
+        from geo_polygonize_ray.config import PipelineConfig
+        from geo_polygonize_ray.pipelines.polygonize import polygonize_lines_distributed
+
+        lines = _random_soup(seed)
+        corners = TRANSFORMS[transform](np.array([[0.0, 0.0], [100.0, 100.0]]))
+        bbox = (*corners.min(axis=0), *corners.max(axis=0))
+        cfg = PipelineConfig(tile_size=30.0, tile_buffer=120.0)  # buffer > domain
+        moved = [TRANSFORMS[transform](ls) for ls in lines]
+        assert_same_shape(
+            polygonize_lines_distributed(moved, cfg, bbox=bbox),
+            polygonize_lines_distributed(lines, cfg, bbox=(0, 0, 100, 100)),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,11 @@ committed reference code (and shapely.ops.polygonize) actually produce."""
 import numpy as np
 import pytest
 
-from geo_polygonize_ray.local import polygonize_lines
+from geo_polygonize_ray.local import Polygon, polygonize_lines
+from geo_polygonize_ray.local.noding import SnapNoder
+from geo_polygonize_ray.local.polygonize import _assemble_core, trace_rings
+from geo_polygonize_ray.raster import labels_to_linework, rgb_to_labels
+from geo_polygonize_ray.sources.fixtures import grid_lines, make_scene, random_lines
 
 
 def ls(*pts):
@@ -182,3 +186,119 @@ class TestRobustness:
             snap_grid_size=1e-6,
         )
         assert len(polys) == 1
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the removed object-assembly path: the engine used to dedup the
+# input linestrings before noding and to assemble Polygon objects with its
+# own loop.  Both are kept here as reference implementations.
+# ---------------------------------------------------------------------------
+
+
+def dedup_linestrings(lines):
+    """Stable sort by first coordinate, remove consecutive identical
+    linestrings (src/polygonizer.rs:75-83: sort_by first coord then dedup)."""
+    if not lines:
+        return lines
+    firsts = np.array([(ln[0, 0], ln[0, 1]) if len(ln) else (0.0, 0.0) for ln in lines])
+    out = []
+    for idx in np.lexsort((firsts[:, 1], firsts[:, 0])):
+        if out and out[-1].shape == lines[idx].shape and np.array_equal(out[-1], lines[idx]):
+            continue
+        out.append(lines[idx])
+    return out
+
+
+def explode(lines):
+    segs = [np.stack([ln[:-1, 0], ln[:-1, 1], ln[1:, 0], ln[1:, 1]]) for ln in lines if len(ln) >= 2]
+    return tuple(np.concatenate(segs, axis=1)) if segs else (np.empty(0),) * 4
+
+
+def assemble_polygons(flat_x, flat_y, offsets):
+    """Phases 5-8 -> Polygon objects, one Python step per polygon and hole
+    (final residual <= 1e-6 drop, src/polygonizer.rs:255-257)."""
+    if len(offsets) - 1 == 0:
+        return []
+    shells, n_orig, shell_areas, hole_ids, assigned, areas, _, _, _ = _assemble_core(
+        flat_x, flat_y, offsets
+    )
+    hole_lists = {}
+    for hi in range(len(hole_ids)):
+        if assigned[hi] >= 0:
+            hole_lists.setdefault(int(assigned[hi]), []).append(int(hole_ids[hi]))
+    result = []
+    for si in range(len(shells)):
+        s, e = offsets[shells[si]], offsets[shells[si] + 1]
+        rx, ry = flat_x[s:e], flat_y[s:e]
+        if si >= n_orig:  # promoted: rewind CCW (src/polygonizer.rs:165-168)
+            rx, ry = rx[::-1].copy(), ry[::-1].copy()
+        residual = shell_areas[si]
+        hx, hy = [], []
+        for h in hole_lists.get(si, []):
+            hx.append(flat_x[offsets[h] : offsets[h + 1]])
+            hy.append(flat_y[offsets[h] : offsets[h + 1]])
+            residual -= abs(areas[h])
+        if abs(residual) > 1e-6:
+            result.append(Polygon(rx, ry, hx, hy))
+    return result
+
+
+def _soup(seed):
+    """Integer-grid linestrings (collinear overlaps, shared vertices) plus
+    duplicated and reversed copies of some of them."""
+    rng = np.random.default_rng(seed)
+    lines = [rng.integers(0, 12, (int(rng.integers(2, 5)), 2)).astype(float) for _ in range(25)]
+    picks = rng.choice(len(lines), 8)
+    return lines + [lines[i].copy() for i in picks[:4]] + [lines[i][::-1].copy() for i in picks[4:]]
+
+
+def _scenes():
+    def square(a, b):
+        return ls((a, a), (b, a), (b, b), (a, b), (a, a))
+
+    yield "nested", [square(0, 100), square(20, 80), square(40, 60)]
+    yield "crossed", [square(0, 10), ls((0, 0), (10, 10)), ls((0, 10), (10, 0))]
+    yield "bowtie", [ls((0, 0), (10, 10), (0, 10), (10, 0), (0, 0))]
+    yield "circles", [circle(30, 30, 30, 100), circle(60, 30, 30, 100), circle(45, 55, 30, 100)]
+    yield "grid", grid_lines(6)
+    yield "random", random_lines(40, seed=7)
+    for i in range(3):
+        segs = labels_to_linework(rgb_to_labels(make_scene(i)[0]))
+        yield f"image{i}", [ls((a, b), (c, d)) for a, b, c, d in zip(*segs)]
+    for seed in range(12):
+        yield f"soup{seed}", _soup(seed)
+
+
+SCENES = dict(_scenes())
+
+
+class TestRemovedPathsOracle:
+    @pytest.mark.parametrize("node_input", [False, True])
+    @pytest.mark.parametrize("name", list(SCENES))
+    def test_views_match_object_assembly(self, name, node_input):
+        """polygonize_lines (one polygonize_soup cell -> Polygon views) is
+        ring-identical to dedup -> explode -> [node] -> trace ->
+        assemble_polygons: same polygons, shells, holes and order."""
+        lines = SCENES[name]
+        segs = explode(lines)
+        if node_input:
+            segs = SnapNoder(1e-10, 10).node(*explode(dedup_linestrings(lines)))
+        want = assemble_polygons(*trace_rings(*segs))
+        got = polygonize_lines(lines, node_input=node_input)
+        assert len(got) == len(want)
+        for p, q in zip(got, want):
+            assert len(p.holes_x) == len(q.holes_x)
+            for a, b in zip([p.shell_x, p.shell_y, *p.holes_x, *p.holes_y],
+                            [q.shell_x, q.shell_y, *q.holes_x, *q.holes_y]):
+                assert a.tobytes() == b.tobytes()
+            assert p.area == q.area
+
+    @pytest.mark.parametrize("name", list(SCENES))
+    def test_line_dedup_is_redundant_after_noding(self, name):
+        """The noder canonicalizes and dedups every segment before its first
+        split round, so the noded soup is bit-identical without the line
+        dedup."""
+        noder = SnapNoder(1e-10, 10)
+        with_dedup = noder.node(*explode(dedup_linestrings(SCENES[name])))
+        without = noder.node(*explode(SCENES[name]))
+        assert [a.tobytes() for a in with_dedup] == [a.tobytes() for a in without]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from geo_polygonize_ray.config import PipelineConfig
-from geo_polygonize_ray.local.polygonize import polygonize_segments
+from geo_polygonize_ray.local.polygonize import polygon_views, polygonize_soup
 from geo_polygonize_ray.pipelines.mosaic import (
     assemble_mosaic_labels,
     mosaic_polygonize,
@@ -27,7 +27,7 @@ class TestMosaic:
         # ground truth: assemble the full mosaic locally and polygonize it
         big = assemble_mosaic_labels(path, n_cols, n_rows)
         gx0, gy0, gx1, gy1 = labels_to_linework(big)
-        truth = polygonize_segments(gx0, gy0, gx1, gy1)
+        truth = polygon_views(polygonize_soup(gx0, gy0, gx1, gy1))
         truth_areas = sorted(round(p.area, 6) for p in truth)
 
         out = mosaic_polygonize(
@@ -48,7 +48,7 @@ class TestMosaic:
         path = cached_image_table(n_cols * n_rows)
         big = assemble_mosaic_labels(path, n_cols, n_rows)
         gx0, gy0, gx1, gy1 = labels_to_linework(big)
-        truth = polygonize_segments(gx0, gy0, gx1, gy1)
+        truth = polygon_views(polygonize_soup(gx0, gy0, gx1, gy1))
         out = mosaic_polygonize(path, n_cols, n_rows).to_pandas()
         assert sorted(round(a, 6) for a in out["area"]) == sorted(
             round(p.area, 6) for p in truth

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geo_polygonize_ray.local.polygonize import polygonize_segments, trace_rings
+from geo_polygonize_ray.local.polygonize import polygon_views, polygonize_soup, trace_rings
 from geo_polygonize_ray.raster import (
     decode_image,
     encode_image,
@@ -195,7 +195,7 @@ class TestVectorizeRoundtrip:
     def test_single_color_image(self):
         img = np.full((16, 16, 3), 77, dtype=np.uint8)
         x0, y0, x1, y1 = labels_to_linework(rgb_to_labels(img))
-        polys = polygonize_segments(x0, y0, x1, y1)
+        polys = polygon_views(polygonize_soup(x0, y0, x1, y1))
         assert len(polys) == 1
         assert polys[0].area == pytest.approx(256.0)
         out = rasterize_polygons(polys, img)
@@ -206,7 +206,7 @@ class TestVectorizeRoundtrip:
         yy, xx = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
         img[(yy + xx) % 2 == 0] = 255
         x0, y0, x1, y1 = labels_to_linework(rgb_to_labels(img))
-        polys = polygonize_segments(x0, y0, x1, y1)
+        polys = polygon_views(polygonize_soup(x0, y0, x1, y1))
         assert len(polys) == 64  # every pixel its own face
         out = rasterize_polygons(polys, img)
         assert np.array_equal(out, img)

@@ -136,6 +136,15 @@ class TestClosedRingGuarantees:
             area = 0.5 * abs(np.sum(nx[:-1] * ny[1:] - nx[1:] * ny[:-1]))
             assert area > 0
 
+    def test_all_collinear_ring_keeps_four_vertices(self):
+        # every interior vertex on the start-far chord: no kept set has
+        # positive area, but the ring still stores >= 4 vertices
+        xs = np.array([0.0, 1.0, 2.0, 3.0, 1.5, 0.0])
+        ys = np.zeros(6)
+        off = np.array([0, 6], dtype=np.int64)
+        for eps in (0.0, 0.5, 1e6):
+            assert simplify_mask(xs, ys, off, eps).sum() >= 4
+
     def test_ring_extent_survives_any_eps(self):
         # farthest-point anchor: the kept ring must still span the
         # original bbox diagonal (the old point-chord seed lost it)
