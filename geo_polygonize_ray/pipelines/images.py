@@ -4,10 +4,13 @@ rasterize -> verify (SURVEY.md §7.1 step 3, BASELINE.json north_star).
 Each image tile is an independent planar graph, so this path needs NO
 shuffle at all: the driver lists the table's Parquet row groups from the
 file footers, and one plain Ray task per row group (or row range of one)
-reads its rows and emits per-image polygon stats + the verified per-row
-invariant (decoded-pixel PSNR >= threshold vs the round-trip
-reconstruction, recomputed phash == stored phash, caption passed through
-byte-identical).  Embarrassingly parallel, zero-copy binary columns.
+reads its rows, up to the end of its range, and emits per-image polygon
+stats + the verified per-row invariant (decoded-pixel PSNR >= threshold vs
+the round-trip reconstruction, recomputed phash == stored phash, caption
+passed through byte-identical).  Within a batch the raster kernels run once
+per image shape over the stack of that shape's images, and trace/assembly
+once per shape over their slab-offset linework.  Embarrassingly parallel,
+zero-copy binary columns.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from geo_polygonize_ray.local.polygonize import assemble_flat, trace_rings
 from geo_polygonize_ray.raster.codec import decode_image, psnr
 from geo_polygonize_ray.raster.phash import phash64
 from geo_polygonize_ray.raster.rasterize import rasterize_faces
-from geo_polygonize_ray.raster.vectorize import labels_to_linework, rgb_to_labels
-from geo_polygonize_ray.stages.trace import flat_to_table
+from geo_polygonize_ray.raster.vectorize import labels_to_linework, rgb_to_labels, slab_stride
+from geo_polygonize_ray.stages.trace import POLYGON_SCHEMA, flat_to_table
 
 IMAGE_RESULT_SCHEMA = pa.schema(
     [
@@ -43,131 +46,116 @@ IMAGE_RESULT_SCHEMA = pa.schema(
 
 class ImageRoundtrip:
     """Roundtrip stage (ST4): decode + verify + vectorize + polygonize +
-    rasterize per image of an Arrow batch of the image table."""
+    rasterize the images of an Arrow batch of the image table."""
 
     def __init__(self, psnr_threshold_db: float = 40.0, emit_polygons: bool = False):
         self.psnr_threshold_db = psnr_threshold_db
         self.emit_polygons = emit_polygons
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        """One result row per image (or, with ``emit_polygons``, one row per
+        polygon), in batch order.
+
+        The rows are grouped by image shape (h, w); each blob is decoded on
+        its own into its group's (n, h, w, 3) stack, and every raster kernel
+        (phash, vectorize, rasterize, PSNR) runs once per group over it.
+        Trace and assembly run once per group as well, over the group's
+        linework translated into disjoint slabs (image i at x + i * stride);
+        every geometric decision is translation-invariant and the integer
+        coordinates stay exact, so each image's results are those of a
+        one-image call.  Results are scattered back by row.  With
+        ``emit_polygons`` every image is traced as its own one-image stack
+        and nothing is verified."""
         n = batch.num_rows
         image_ids = batch["image_id"].to_pylist()
-        captions = batch["caption"].to_pylist()
         blobs = batch["bytes"].to_pylist()
         ws = batch["w"].to_numpy()
         hs = batch["h"].to_numpy()
         fmts = batch["fmt"].to_pylist()
-        hashes = batch["phash"].to_numpy()
 
-        n_polys = np.zeros(n, dtype=np.int64)
-        total_area = np.zeros(n, dtype=np.float64)
-        psnr_db = np.zeros(n, dtype=np.float64)
-        phash_ok = np.zeros(n, dtype=bool)
-        roundtrip_ok = np.zeros(n, dtype=bool)
-        poly_tables = []
-
-        if not self.emit_polygons and n > 1:
-            # Batched trace/assembly ACROSS the images of the batch: each
-            # image's (integer-coordinate) linework is translated into its
-            # own disjoint slab (x += i * 2^13 — exact float arithmetic, and
-            # every geometric decision below is translation-invariant), ONE
-            # trace_rings + assemble_flat runs over the merged soup (graph
-            # components stay per-image), and results split back by slab.
-            # Replaces 2 x n vectorized-but-tiny calls whose fixed numpy
-            # overhead dominated at 64x64 tiles (~1.7 ms of 4.9 ms/image).
-            # slab stride: power of two strictly above the widest image so
-            # slabs never collide (and i*STRIDE stays exact in float64)
-            STRIDE = float(1 << max(13, int(np.ceil(np.log2(float(ws.max()) + 2.0)))))
-            imgs = []
-            sx0, sy0, sx1, sy1 = [], [], [], []
-            for i in range(n):
-                img = decode_image(blobs[i], int(ws[i]), int(hs[i]), fmts[i])
-                phash_ok[i] = phash64(img) == int(hashes[i])
-                imgs.append(img)
-                x0, y0, x1, y1 = labels_to_linework(rgb_to_labels(img))
-                off = i * STRIDE
-                sx0.append(x0 + off)
-                sy0.append(y0)
-                sx1.append(x1 + off)
-                sy1.append(y1)
-            fx, fy, offs = trace_rings(
-                np.concatenate(sx0), np.concatenate(sy0),
-                np.concatenate(sx1), np.concatenate(sy1),
-            )
-            flat = assemble_flat(fx, fy, offs)
-            # attribute polygons by their shell's FIRST VERTEX — always
-            # inside the slab, unlike the hole-inclusive centroid which can
-            # leave the bbox for heavily-holed polygons
-            sh_off = flat["shell_offsets"]
-            slab = (flat["shell_values_x"][sh_off[:-1]] // STRIDE).astype(np.int64)
-            n_polys[:] = np.bincount(slab, minlength=n)
-            total_area[:] = np.bincount(slab, weights=flat["area"], minlength=n)
-            # group traced FACES by slab and rasterize per image
-            ring_slab = (fx[offs[:-1]] // STRIDE).astype(np.int64) if len(offs) > 1 else np.empty(0, np.int64)
-            order = np.argsort(ring_slab, kind="stable")
-            sorted_slab = ring_slab[order]
-            for i in range(n):
-                lo = np.searchsorted(sorted_slab, i)
-                hi = np.searchsorted(sorted_slab, i + 1)
-                ridx = order[lo:hi]
-                lens = offs[ridx + 1] - offs[ridx]
-                loffs = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
-                pos = np.arange(loffs[-1]) - np.repeat(loffs[:-1], lens)
-                g = np.repeat(offs[ridx], lens) + pos
-                recon = rasterize_faces(fx[g] - i * STRIDE, fy[g], loffs, imgs[i])
-                p = psnr(imgs[i], recon)
-                psnr_db[i] = p
-                roundtrip_ok[i] = p >= self.psnr_threshold_db
-        else:
-            for i in range(n):
-                img = decode_image(blobs[i], int(ws[i]), int(hs[i]), fmts[i])
-                phash_ok[i] = phash64(img) == int(hashes[i])
-                x0, y0, x1, y1 = labels_to_linework(rgb_to_labels(img))
-                fx, fy, offs = trace_rings(x0, y0, x1, y1)
-                flat = assemble_flat(fx, fy, offs)
-                n_polys[i] = len(flat["area"])
-                total_area[i] = float(flat["area"].sum())
-                # reconstruction uses the face decomposition (exact); polygon
-                # assembly keeps reference parity for the stats/polygons output
-                recon = rasterize_faces(fx, fy, offs, img)
-                p = psnr(img, recon)
-                psnr_db[i] = p
-                roundtrip_ok[i] = p >= self.psnr_threshold_db
-                if self.emit_polygons:
-                    t = flat_to_table(flat, tile_id=0)
-                    t = t.append_column("image_id", pa.array([image_ids[i]] * t.num_rows))
-                    poly_tables.append(t)
+        def decode(i):
+            return decode_image(blobs[i], int(ws[i]), int(hs[i]), fmts[i])
 
         if self.emit_polygons:
-            if not poly_tables:
-                from geo_polygonize_ray.stages.trace import POLYGON_SCHEMA
-
+            tables = []
+            for i in range(n):
+                _, flat = _polygonize(decode(i)[None], slab_stride(int(ws[i])))
+                t = flat_to_table(flat, tile_id=0)
+                tables.append(t.append_column("image_id", pa.array([image_ids[i]] * t.num_rows)))
+            if not tables:
                 return POLYGON_SCHEMA.empty_table().append_column(
                     "image_id", pa.array([], pa.string())
                 )
-            return pa.concat_tables(poly_tables)
+            return pa.concat_tables(tables)
+
+        phash = np.zeros(n, dtype=np.int64)
+        n_polys = np.zeros(n, dtype=np.int64)
+        total_area = np.zeros(n, dtype=np.float64)
+        psnr_db = np.zeros(n, dtype=np.float64)
+        shapes = hs.astype(np.int64) << 32 | ws.astype(np.int64)
+        for shape in np.unique(shapes):
+            rows = np.flatnonzero(shapes == shape)
+            stack = np.stack([decode(i) for i in rows])
+            phash[rows], n_polys[rows], total_area[rows], psnr_db[rows] = _roundtrip(stack)
 
         return pa.table(
             {
                 "image_id": pa.array(image_ids, pa.string()),
-                "caption": pa.array(captions, pa.string()),
+                "caption": pa.array(batch["caption"].to_pylist(), pa.string()),
                 "n_polys": pa.array(n_polys),
                 "total_area": pa.array(total_area),
                 "psnr_db": pa.array(psnr_db),
-                "phash_ok": pa.array(phash_ok),
-                "roundtrip_ok": pa.array(roundtrip_ok),
+                "phash_ok": pa.array(phash == batch["phash"].to_numpy()),
+                "roundtrip_ok": pa.array(psnr_db >= self.psnr_threshold_db),
             },
             schema=IMAGE_RESULT_SCHEMA,
         )
 
 
+def _polygonize(stack: np.ndarray, stride: float):
+    """(n, h, w, 3) stack -> its traced rings (flat_x, flat_y, offsets) and
+    assembled polygons, image i at x + i * stride."""
+    x0, y0, x1, y1 = labels_to_linework(rgb_to_labels(stack), stride)
+    fx, fy, offs = trace_rings(x0, y0, x1, y1)
+    return (fx, fy, offs), assemble_flat(fx, fy, offs)
+
+
+def _roundtrip(stack: np.ndarray):
+    """(n, h, w, 3) stack -> per-image (phash, n_polys, total_area, psnr_db)."""
+    n, _, w, _ = stack.shape
+    stride = slab_stride(w)
+    hashes = phash64(stack)
+    rings, flat = _polygonize(stack, stride)
+    # attribute polygons by their shell's FIRST VERTEX — always inside the
+    # slab, unlike the hole-inclusive centroid which can leave the bbox for
+    # heavily-holed polygons
+    sh_off = flat["shell_offsets"]
+    slab = (flat["shell_values_x"][sh_off[:-1]] // stride).astype(np.int64)
+    # reconstruction uses the face decomposition (exact); polygon assembly
+    # keeps reference parity for the stats/polygons output
+    recon = rasterize_faces(*rings, stack, stride)
+    return (
+        hashes,
+        np.bincount(slab, minlength=n),
+        np.bincount(slab, weights=flat["area"], minlength=n),
+        psnr(stack, recon),
+    )
+
+
 def _roundtrip_piece(
     path: str, row_group: int, offset: int, rows: int, filesystem, stage, batch_size
 ) -> pa.Table:
-    """``stage`` over rows [offset, offset + rows) of one row group."""
-    with filesystem.open_input_file(path) as f:
-        t = pq.ParquetFile(f).read_row_group(row_group).slice(offset, rows)
+    """``stage`` over rows [offset, offset + rows) of one row group; the
+    row group is read only up to the end of the range."""
     step = batch_size or rows
+    batches, end = [], offset + rows
+    with filesystem.open_input_file(path) as f:
+        for b in pq.ParquetFile(f).iter_batches(batch_size=step, row_groups=[row_group]):
+            batches.append(b)
+            end -= b.num_rows
+            if end <= 0:
+                break
+    t = pa.Table.from_batches(batches).slice(offset, rows)
     return pa.concat_tables([stage(t.slice(lo, step)) for lo in range(0, rows, step)])
 
 

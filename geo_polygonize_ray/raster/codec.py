@@ -38,7 +38,8 @@ def encode_image(img: np.ndarray, fmt: str) -> bytes:
 
 
 def decode_image(data: bytes, w: int, h: int, fmt: str) -> np.ndarray:
-    """-> (h, w, 3) uint8."""
+    """One blob -> (h, w, 3) uint8 (read-only for ``rgb8-raw`` and for PNGs
+    whose scanlines are all unfiltered)."""
     if fmt == "rgb8-raw":
         return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
     if fmt == "png":
@@ -51,14 +52,21 @@ def decode_image(data: bytes, w: int, h: int, fmt: str) -> np.ndarray:
     raise ValueError(f"unknown image format: {fmt}")
 
 
-def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB over uint8 images; 999.0 if identical."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    mse = float(np.mean((a - b) ** 2))
-    if mse == 0.0:
-        return 999.0
-    return 10.0 * np.log10(255.0**2 / mse)
+def psnr(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Peak signal-to-noise ratio in dB of two uint8 (h, w, 3) images (a
+    float), or of two (n, h, w, 3) stacks image by image (an (n,) array);
+    999.0 where identical.  The squared error is summed exactly in
+    integers: every partial sum of the float mean it replaces is an integer
+    below 2^53, so the result is bit-identical to it."""
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8)
+    n = len(a) if a.ndim == 4 else 1
+    d = (a.astype(np.int16) - b).reshape(n, int(np.prod(a.shape[-3:])))
+    sse = np.einsum("ij,ij->i", d, d, dtype=np.int64)
+    out = np.full(n, 999.0)
+    hit = sse > 0
+    out[hit] = 10.0 * np.log10(255.0**2 / (sse[hit] / d.shape[1]))
+    return float(out[0]) if a.ndim == 3 else out
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +112,8 @@ def _decode_png(data: bytes) -> np.ndarray:
             break
     assert bit_depth == 8 and color_type == 2, "decoder supports 8-bit truecolor only"
     raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8).reshape(h, w * 3 + 1)
+    if not raw[:, 0].any():  # every scanline unfiltered, as _encode_png writes
+        return raw[:, 1:].reshape(h, w, 3)
     bpp = 3
     out = np.zeros((h, w * 3), dtype=np.uint8)
     for y in range(h):

@@ -25,34 +25,27 @@ _DCT_M = _dct_matrix(_DCT_N)
 
 
 def _resize_area(img: np.ndarray, n: int) -> np.ndarray:
-    """Area-mean downsample to (n, n); nearest-neighbor fallback when the
-    source dimensions don't divide evenly."""
-    h, w = img.shape
+    """Area-mean downsample of the last two axes to (n, n); nearest-neighbor
+    fallback when the source dimensions don't divide evenly."""
+    *lead, h, w = img.shape
     if h % n == 0 and w % n == 0:
-        return img.reshape(n, h // n, n, w // n).mean(axis=(1, 3))
+        return img.reshape(*lead, n, h // n, n, w // n).mean(axis=(-3, -1))
     yi = (np.arange(n) * h // n).clip(0, h - 1)
     xi = (np.arange(n) * w // n).clip(0, w - 1)
-    return img[np.ix_(yi, xi)].astype(np.float64)
+    return img[..., yi[:, None], xi[None, :]].astype(np.float64)
 
 
-def phash64(img: np.ndarray) -> int:
-    """img: (h, w, 3) uint8 -> signed 64-bit perceptual hash."""
-    img = np.asarray(img, dtype=np.float64)
-    luma = 0.299 * img[..., 0] + 0.587 * img[..., 1] + 0.114 * img[..., 2]
-    small = _resize_area(luma, _DCT_N)
-    dct = _DCT_M @ small @ _DCT_M.T
-    block = dct[:8, :8].ravel()
-    med = np.median(block[1:])  # exclude DC term
-    bits = block > med
-    val = np.uint64(0)
-    for i, b in enumerate(bits):
-        if b:
-            val |= np.uint64(1) << np.uint64(i)
-    return int(val.astype(np.int64))
-
-
-def phash64_batch(imgs: list[np.ndarray]) -> np.ndarray:
-    return np.array([phash64(im) for im in imgs], dtype=np.int64)
+def phash64(img: np.ndarray) -> int | np.ndarray:
+    """(h, w, 3) uint8 -> signed 64-bit perceptual hash as an int, or an
+    (n, h, w, 3) stack -> (n,) int64 hashes, in one numpy pass."""
+    img = np.asarray(img)
+    stack = img.reshape((-1,) + img.shape[-3:])
+    luma = 0.299 * stack[..., 0] + 0.587 * stack[..., 1] + 0.114 * stack[..., 2]
+    block = (_DCT_M @ _resize_area(luma, _DCT_N) @ _DCT_M.T)[:, :8, :8].reshape(len(stack), 64)
+    med = np.median(block[:, 1:], axis=1)  # exclude DC term
+    bits = (block > med[:, None]).astype(np.uint64) << np.arange(64, dtype=np.uint64)
+    out = bits.sum(axis=1, dtype=np.uint64).view(np.int64)
+    return int(out[0]) if img.ndim == 3 else out
 
 
 def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:

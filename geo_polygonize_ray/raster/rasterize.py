@@ -17,6 +17,7 @@ import numpy as np
 
 from geo_polygonize_ray.geom.kernels import points_in_ring, signed_area_many
 from geo_polygonize_ray.local.polygonize import Polygon
+from geo_polygonize_ray.raster.vectorize import slab_stride
 
 
 def rasterize_polygons(
@@ -45,7 +46,8 @@ def rasterize_polygons(
 
 
 def rasterize_faces(
-    flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray, source: np.ndarray
+    flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray, source: np.ndarray,
+    stride: float | None = None,
 ) -> np.ndarray:
     """Reconstruct the image from traced edge rings via the FACE
     decomposition: a pixel belongs to the smallest-area CW ring containing
@@ -53,17 +55,31 @@ def rasterize_faces(
     never crossing, so their interiors form a laminar family and
     smallest-container = the pixel's face).
 
+    ``source`` is one (h, w, 3) image or an (n, h, w, 3) stack; the output
+    has its shape.  For a stack the rings are slab rings: ring r belongs to
+    image ``flat_x[offsets[r]] // stride`` and is offset by ``image * stride``
+    in x (default ``slab_stride(w)``, as ``labels_to_linework`` emits).
+
     This is the exact reconstruction path: polygon *assembly* (hole
     assignment by centroid PIP, reference src/polygonizer.rs:199-249) can
     misassign holes of concave faces — a limitation inherited from the
     reference — so the round-trip invariant is checked against faces, which
     are unambiguous.
     """
-    h, w, _ = source.shape
+    source = np.asarray(source)
+    stack = source.reshape((-1,) + source.shape[-3:])
+    n, h, w, _ = stack.shape
+    if stride is None:
+        stride = slab_stride(w)
+    offsets = np.asarray(offsets, dtype=np.int64)
     areas = signed_area_many(flat_x, flat_y, offsets)
+    ring_img = np.clip(flat_x[offsets[:-1]] // stride, 0, n - 1).astype(np.int64)
     cw = np.flatnonzero(areas < -1e-9)
-    order = cw[np.argsort(-np.abs(areas[cw]), kind="stable")]  # big -> small
-    owner = np.full((h, w), -1, dtype=np.int64)
+    # per image big -> small; lexsort is stable, so ring order breaks ties
+    order = cw[np.lexsort((-np.abs(areas[cw]), ring_img[cw]))]
+    img = ring_img[order]
+    rank = np.arange(len(order)) - np.searchsorted(img, img)  # within its image
+    owner = np.full((n, h * w), -1, dtype=np.int32)  # ring per pixel of each image
     # raster-derived linework is axis-aligned on the integer grid (and
     # noding keeps it there), so each ring's interior comes from a
     # vectorized scanline parity fill — O(edges + pixels) instead of the
@@ -80,67 +96,97 @@ def rasterize_faces(
         dx = np.diff(flat_x)
         dy = np.diff(flat_y)
         valid = np.ones(len(dx), dtype=bool)
-        seam = np.asarray(offsets[1:-1], dtype=np.int64) - 1
+        seam = offsets[1:-1] - 1
         valid[seam[(seam >= 0) & (seam < len(dx))]] = False
         axis_aligned = bool(np.all((dx[valid] == 0) | (dy[valid] == 0)))
     if axis_aligned:
-        # _FILL_CHUNK rings per pass, one bit each: the highest set bit is
-        # the last ring in big -> small order whose interior holds the pixel
-        for lo in range(0, len(order), _FILL_CHUNK):
-            rings = order[lo : lo + _FILL_CHUNK]
-            bits = _scanline_bits(flat_x, flat_y, offsets, rings, w, h)
-            hit = bits != 0
-            owner[hit] = rings[np.frexp(bits[hit].astype(np.float64))[1] - 1]
+        # pass k fills the k-th _FILL_CHUNK rings of every image, one bit
+        # each by rank: the highest set bit is the last ring in big -> small
+        # order whose interior holds the pixel.  table[i, b + 1] is the ring
+        # of bit b in image i; column 0 stands for "no bit set".
+        row = np.arange(n)[:, None] * (_FILL_CHUNK + 1)
+        for lo in range(0, int(rank.max(initial=-1)) + 1, _FILL_CHUNK):
+            sel = (rank >= lo) & (rank < lo + _FILL_CHUNK)
+            table = np.full((n, _FILL_CHUNK + 1), -1, dtype=np.int32)
+            table[img[sel], rank[sel] - lo + 1] = order[sel]
+            bits = _scanline_bits(
+                flat_x, flat_y, offsets, order[sel], rank[sel] - lo, img[sel], stride, n, h, w
+            )
+            # cast in place (on 1-D views numpy needs no temporary copy): the
+            # exact float64 of a pixel's bits has exponent field 1023 + b for
+            # its highest bit b, and 0 when none is set
+            bits = bits.ravel()
+            np.copyto(bits.view(np.float64), bits.view(np.int64), casting="unsafe")
+            top = bits.view(np.int64).reshape(n, h * w)
+            top >>= 52
+            top -= 1022
+            np.maximum(top, 0, out=top)
+            hit = top > 0
+            top += row
+            np.copyto(owner, table.ravel()[top], where=hit)
     else:
-        for r in order:
+        for r, i in zip(order, img):
             s, e = offsets[r], offsets[r + 1]
-            owner[_ring_mask(flat_x[s:e], flat_y[s:e], w, h)] = r
-    # one source pixel per owner ring -> vectorized color gather
-    flat_owner = owner.ravel()
-    uniq, first_idx = np.unique(flat_owner, return_index=True)
-    colors = source.reshape(-1, 3)[first_idx]
-    out = colors[np.searchsorted(uniq, flat_owner)].reshape(h, w, 3)
-    unowned = owner == -1  # pruned-dangle pixels keep their own source value
-    if unowned.any():
-        out[unowned] = source[unowned]
-    return out
+            owner[i][_ring_mask(flat_x[s:e] - i * stride, flat_y[s:e], w, h).ravel()] = r
+    # every pixel takes the source color of its owner ring's first pixel;
+    # pruned-dangle pixels (no owner) keep their own source value
+    pixels = stack.reshape(-1, 3)
+    owner = owner.ravel()
+    owner += 1  # 0: no owner
+    first = np.full(len(offsets), len(pixels) - 1, dtype=np.int32)
+    np.minimum.at(first, owner, np.arange(len(pixels), dtype=np.int32))
+    # gathered as one 3-byte item per pixel, which fancy indexing does
+    # straight from the int32 owners (np.take would copy them to intp)
+    out = pixels[first].view("V3").ravel()[owner].view(np.uint8).reshape(-1, 3)
+    unowned = owner == 0
+    out[unowned] = pixels[unowned]
+    return out.reshape(source.shape)
 
 
-# rings per fill pass, one bit each: their sum stays an exact float64
-# (bincount weights, frexp) and the pass holds a few (h, w) arrays
+# rings per fill pass, one bit each: a pixel's bits stay an exact float64
+# (its exponent is the highest bit) and the pass holds a few (n * h, w) arrays
 _FILL_CHUNK = 52
 
 
 def _scanline_bits(
-    flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray, rings: np.ndarray, w: int, h: int
+    flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray, rings: np.ndarray,
+    bit: np.ndarray, img: np.ndarray, stride: float, n: int, h: int, w: int,
 ) -> np.ndarray:
-    """(h, w) uint64 whose bit j is the even-odd interior of the
-    axis-aligned integer ring ``rings[j]`` (at most 52 rings), via scanline
-    parity: each VERTICAL edge at column x spanning rows [ylo, yhi) flips
-    the parity of every pixel center right of it (c + 0.5 > x <=> c >= x).
-    Bit-identical to the crossing-parity PIP for off-grid pixel centers."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    # every within-ring edge (i, i + 1), labelled with its ring's bit
+    """(n * h, w) uint64 whose bit ``bit[j]`` in the rows of image
+    ``img[j]`` is the even-odd interior of the axis-aligned integer ring
+    ``rings[j]`` (x offset ``img[j] * stride``), via scanline parity: each
+    VERTICAL edge at column x spanning rows [ylo, yhi) flips the parity of
+    every pixel center right of it (c + 0.5 > x <=> c >= x).  Bit-identical
+    to the crossing-parity PIP for off-grid pixel centers."""
+    # every within-ring edge (i, i + 1), labelled with its ring's bit and image
     n_edges = np.maximum(offsets[rings + 1] - offsets[rings] - 1, 0)
-    bit = np.repeat(np.arange(len(rings)), n_edges)
     first = np.cumsum(n_edges) - n_edges
     i = np.arange(int(n_edges.sum())) + np.repeat(offsets[rings] - first, n_edges)
     vx = flat_x[i] == flat_x[i + 1]
-    i, bit = i[vx], bit[vx]
-    x = flat_x[i].astype(np.int64)
+    i, bit, img = i[vx], np.repeat(bit, n_edges)[vx], np.repeat(img, n_edges)[vx]
+    x = (flat_x[i] - img * stride).astype(np.int64)
     ylo = np.clip(np.minimum(flat_y[i], flat_y[i + 1]).astype(np.int64), 0, h)
     yhi = np.clip(np.maximum(flat_y[i], flat_y[i + 1]).astype(np.int64), 0, h)
     nrows = np.maximum(yhi - ylo, 0)
     keep = (nrows > 0) & (x < w)
-    x, ylo, nrows, bit = x[keep], ylo[keep], nrows[keep], bit[keep]
+    x, ylo, nrows, bit, img = x[keep], ylo[keep], nrows[keep], bit[keep], img[keep]
     total = int(nrows.sum())
-    rows = np.repeat(ylo, nrows) + (np.arange(total) - np.repeat(np.cumsum(nrows) - nrows, nrows))
+    rows = np.repeat(img * h + ylo, nrows) + (
+        np.arange(total) - np.repeat(np.cumsum(nrows) - nrows, nrows)
+    )
     cols = np.clip(np.repeat(x, nrows), 0, w - 1)
-    # a (pixel, ring) flip that occurs an even number of times cancels
-    key, n = np.unique(((rows * w + cols) << 6) | np.repeat(bit, nrows), return_counts=True)
-    key = key[(n & 1) == 1]
-    flips = np.bincount(key >> 6, weights=np.ldexp(1.0, key & 63), minlength=h * w)
-    return np.bitwise_xor.accumulate(flips.astype(np.uint64).reshape(h, w), axis=1)
+    # a (pixel, ring) flip that occurs an even number of times cancels;
+    # the sorted survivors are OR-ed into their pixel's word
+    key, cnt = np.unique(((rows * w + cols) << 6) | np.repeat(bit, nrows), return_counts=True)
+    key = key[(cnt & 1) == 1]
+    flips = np.zeros(n * h * w, dtype=np.uint64)
+    if len(key):
+        pix = key >> 6
+        lead = np.flatnonzero(np.diff(pix, prepend=-1))
+        vals = np.left_shift(np.uint64(1), (key & 63).astype(np.uint64))
+        flips[pix[lead]] = np.bitwise_or.reduceat(vals, lead)
+    flips = flips.reshape(n * h, w)
+    return np.bitwise_xor.accumulate(flips, axis=1, out=flips)
 
 
 def _ring_mask(rx: np.ndarray, ry: np.ndarray, w: int, h: int) -> np.ndarray:

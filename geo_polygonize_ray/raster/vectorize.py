@@ -19,27 +19,29 @@ import numpy as np
 
 
 def rgb_to_labels(img: np.ndarray) -> np.ndarray:
-    """(h, w, 3) uint8 -> (h, w) int32 label per unique color (packed RGB)."""
-    img = np.asarray(img, dtype=np.uint32)
-    return (img[..., 0] << 16 | img[..., 1] << 8 | img[..., 2]).astype(np.int32)
+    """(..., 3) uint8 -> (...) int32 label per unique color (packed RGB):
+    one image (h, w, 3) or a stack (n, h, w, 3)."""
+    img = np.asarray(img)
+    labels = img[..., 0].astype(np.int32)
+    for c in (1, 2):
+        labels <<= 8
+        labels |= img[..., c]
+    return labels
 
 
-def _runs_to_segments(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """mask: (n_lines, n_cells) boolean; returns (line_idx, start, end) of
-    maximal True runs per line — fully vectorized run-length encoding."""
-    n, m = mask.shape
-    padded = np.zeros((n, m + 2), dtype=bool)
-    padded[:, 1:-1] = mask
-    d = np.diff(padded.astype(np.int8), axis=1)
-    line_idx, starts = np.nonzero(d == 1)
-    _, ends = np.nonzero(d == -1)
-    return line_idx, starts, ends
+def slab_stride(w: int) -> float:
+    """x offset between consecutive images of a stack: a power of two
+    (at least 2^13) strictly above ``w + 1``, so slabs never touch and
+    ``i * stride`` stays exact in float64."""
+    return float(1 << max(13, int(np.ceil(np.log2(w + 2.0)))))
 
 
 def labels_to_linework(
-    labels: np.ndarray,
+    labels: np.ndarray, stride: float | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(h, w) labels -> noded boundary segments (x0, y0, x1, y1) float64.
+    """(h, w) or (n, h, w) labels -> noded boundary segments (x0, y0, x1, y1)
+    float64; image ``i`` of a stack is offset by ``i * stride`` in x
+    (default ``slab_stride(w)``), so the images' linework never touches.
 
     A horizontal grid edge at row-boundary y between columns [x, x+1) is a
     boundary iff labels[y-1, x] != labels[y, x] (out-of-image counts as a
@@ -47,87 +49,64 @@ def labels_to_linework(
     but runs are split at crossing boundary junctions to keep the linework
     exactly noded (a horizontal run is broken wherever a vertical boundary
     edge touches it, and vice versa).
+
+    Order: image-major; within an image, horizontal segments in (y, x) order,
+    then vertical segments in (x, y) order.  Downstream ring order, and so
+    every float sum over the traced rings, depends on it.
     """
     labels = np.asarray(labels)
-    h, w = labels.shape
+    stack = labels.reshape((-1,) + labels.shape[-2:])
+    n, h, w = stack.shape
+    if stride is None:
+        stride = slab_stride(w)
 
     # boundary masks on the (h+1) x w horizontal grid edges and h x (w+1) vertical
-    hmask = np.ones((h + 1, w), dtype=bool)
-    hmask[1:h, :] = labels[1:, :] != labels[:-1, :]
-    vmask = np.ones((h, w + 1), dtype=bool)
-    vmask[:, 1:w] = labels[:, 1:] != labels[:, :-1]
+    hmask = np.ones((n, h + 1, w), dtype=bool)
+    hmask[:, 1:h] = stack[:, 1:] != stack[:, :-1]
+    vmask = np.ones((n, h, w + 1), dtype=bool)
+    vmask[:, :, 1:w] = stack[:, :, 1:] != stack[:, :, :-1]
 
-    # node mask: a grid corner (x, y) is a junction if the boundary structure
-    # changes there; split runs at corners where any PERPENDICULAR boundary
-    # edge is incident.
-    # corner (x, y) with x in 0..w, y in 0..h touches vertical edges
-    # (x, y-1)-(x, y) i.e. vmask[y-1, x] and vmask[y, x].
-    vtouch = np.zeros((h + 1, w + 1), dtype=bool)
-    vtouch[:h, :] |= vmask
-    vtouch[1:, :] |= vmask
-    htouch = np.zeros((h + 1, w + 1), dtype=bool)
-    htouch[:, :w] |= hmask
-    htouch[:, 1:] |= hmask
+    # corner (x, y) touches the vertical edges vmask[y-1, x] and vmask[y, x],
+    # and the horizontal edges hmask[y, x-1] and hmask[y, x]
+    vtouch = np.zeros((n, h + 1, w + 1), dtype=bool)
+    vtouch[:, :h] |= vmask
+    vtouch[:, 1:] |= vmask
+    htouch = np.zeros((n, h + 1, w + 1), dtype=bool)
+    htouch[:, :, :w] |= hmask
+    htouch[:, :, 1:] |= hmask
 
-    segs: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-
-    # horizontal runs, split at corners with vertical incidence:
-    # break a run between cell x-1 and x at corner x if a vertical edge touches
-    run_break = vtouch[:, 1:w]  # corners 1..w-1
-    line_idx, starts, ends = _runs_to_segments(hmask)
-    if len(line_idx):
-        # expand runs into sub-runs at break corners: emit unit edges then
-        # merge via cumulative "segment id" trick
-        ys, xs0, xs1 = _split_runs(line_idx, starts, ends, run_break)
-        segs.append((xs0.astype(np.float64), ys.astype(np.float64), xs1.astype(np.float64), ys.astype(np.float64)))
-
-    # vertical runs, split at corners with horizontal incidence
-    run_break_v = htouch[1:h, :].T  # for column lines: corners y 1..h-1, transposed to (w+1, h-1)
-    line_idx, starts, ends = _runs_to_segments(vmask.T)
-    if len(line_idx):
-        xs, ys0, ys1 = _split_runs(line_idx, starts, ends, run_break_v)
-        segs.append((xs.astype(np.float64), ys0.astype(np.float64), xs.astype(np.float64), ys1.astype(np.float64)))
-
-    if not segs:
-        z = np.empty(0, dtype=np.float64)
-        return z, z.copy(), z.copy(), z.copy()
-    x0 = np.concatenate([s[0] for s in segs])
-    y0 = np.concatenate([s[1] for s in segs])
-    x1 = np.concatenate([s[2] for s in segs])
-    y1 = np.concatenate([s[3] for s in segs])
+    # horizontal lines y along x, then vertical lines x along y
+    hi, hy, hx0, hx1 = _segments(hmask, vtouch)
+    vi, vx, vy0, vy1 = _segments(vmask.transpose(0, 2, 1), htouch.transpose(0, 2, 1))
+    # image-major, horizontal before vertical within an image
+    img = np.concatenate([hi, vi])
+    order = np.argsort(img, kind="stable")
+    off = img[order] * stride
+    x0 = np.concatenate([hx0, vx])[order] + off
+    y0 = np.concatenate([hy, vy0])[order]
+    x1 = np.concatenate([hx1, vx])[order] + off
+    y1 = np.concatenate([hy, vy1])[order]
     return x0, y0, x1, y1
 
 
-def _split_runs(
-    line_idx: np.ndarray, starts: np.ndarray, ends: np.ndarray, break_mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split runs [start, end) on line `line_idx` at interior break corners.
+def _segments(
+    mask: np.ndarray, touch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of boundary unit edges along each grid line, split at
+    corners with perpendicular incidence.
 
-    break_mask: (n_lines, n_corners-ish) — break_mask[l, c] means corner c+1
-    on line l splits a run spanning it.  Returns (line, seg_start, seg_end)
-    arrays of the split sub-segments in grid units.
-    """
-    out_line: list[np.ndarray] = []
-    out_s: list[np.ndarray] = []
-    out_e: list[np.ndarray] = []
-    # vectorized: for each run, the interior corners are start+1..end-1;
-    # collect break positions via the global mask.
-    n_corners = break_mask.shape[1]
-    for l, s, e in zip(line_idx, starts, ends):
-        if e - s == 1:
-            out_line.append(np.array([l]))
-            out_s.append(np.array([s]))
-            out_e.append(np.array([e]))
-            continue
-        interior = np.arange(s + 1, e)
-        valid = interior[(interior - 1 < n_corners)]
-        brk = valid[break_mask[l, valid - 1]]
-        pts = np.concatenate([[s], brk, [e]])
-        out_line.append(np.full(len(pts) - 1, l))
-        out_s.append(pts[:-1])
-        out_e.append(pts[1:])
-    return (
-        np.concatenate(out_line),
-        np.concatenate(out_s),
-        np.concatenate(out_e),
-    )
+    mask: (n, lines, m), unit edge c of a line spans corners c and c + 1;
+    touch: (n, lines, m + 1) perpendicular incidence at each corner.
+    Returns (image, line, start, end) in (image, line, start) order, the
+    image index as int64 and the grid coordinates as float64."""
+    m = mask.shape[2]
+    # edge c starts a segment unless edge c - 1 is a boundary edge too and
+    # corner c has no perpendicular incidence; it ends one likewise at c + 1
+    start = mask.copy()
+    start[:, :, 1:] &= ~mask[:, :, :-1] | touch[:, :, 1:-1]
+    end = mask.copy()
+    end[:, :, :-1] &= ~mask[:, :, 1:] | touch[:, :, 1:-1]
+    img, line, s = np.nonzero(start)
+    e = np.flatnonzero(end) % m + 1
+    f = np.float64
+    return img, line.astype(f), s.astype(f), e.astype(f)

@@ -10,18 +10,32 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# One traced "job": both TilePolygonizer row formats and one stitch tracer
-# call.  Every (plane, tile) cell must give exactly one trace.cell span with
-# exactly one local.assemble span inside it.
+# Traced job 1: both TilePolygonizer row formats and one stitch tracer call.
+# Every (plane, tile) cell must give exactly one trace.cell span with exactly
+# one local.assemble span inside it.  Traced job 2: one ImageRoundtrip call on
+# a batch of two image shapes, which must run each raster kernel once per
+# shape (rgb_to_labels and labels_to_linework both record raster.vectorize)
+# and decode once per row, all inside its images.task span.
 SCRIPT = """
 import sys
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 from polybench.spans import JobFlag, Recorder, install, read_spans
 
 span_dir = sys.argv[1]
-JobFlag(span_dir).set(1)
+flag = JobFlag(span_dir)
 install(Recorder(span_dir))
+
+from geo_polygonize_ray.pipelines.images import ImageRoundtrip
+from geo_polygonize_ray.sources.fixtures import generate_image_table
+
+# built untraced (job 0): the generator decodes and hashes too
+batch = pa.concat_tables([
+    pq.read_table(generate_image_table(3, f"{span_dir}/img{w}.parquet", w=w, h=h, seed=w))
+    for w, h in ((16, 16), (24, 12))
+])
+flag.set(1)
 
 from geo_polygonize_ray.sources.fixtures import grid_lines, linework_table
 from geo_polygonize_ray.stages.linework import (
@@ -41,12 +55,31 @@ line_assigner = SaltedTileAssigner(bbox, 2.0, 1.0)
 rows = line_assigner(lines)
 EscalatingTilePolygonizer(line_assigner)(rows)
 
+flag.set(2)
+out = ImageRoundtrip()(batch)
+flag.set(0)
+assert out["phash_ok"].to_pylist() == [True] * 6 and out["roundtrip_ok"].to_pylist() == [True] * 6
+
 n_cells = 1 + len(np.unique(segs["tile_id"])) + len(np.unique(rows["tile_id"]))
-spans = [s for _, s in read_spans(span_dir)]
+spans = [s for _, s in read_spans(span_dir) if s[0] == 1]
 cells = [s[4] for s in spans if s[1] == "trace.cell"]
 assemble_parents = [s[5] for s in spans if s[1] == "local.assemble"]
 assert len(cells) == n_cells == 9, (len(cells), n_cells)
 assert sorted(assemble_parents) == sorted(cells), (assemble_parents, cells)
+
+spans = [s for _, s in read_spans(span_dir) if s[0] == 2]
+tasks = [s[4] for s in spans if s[1] == "images.task"]
+assert len(tasks) == 1, tasks
+raster = [s for s in spans if s[1].startswith("raster.")]
+assert all(s[5] == tasks[0] for s in raster), raster
+count = lambda name: sum(s[1] == name for s in raster)
+groups = 2
+assert count("raster.decode") == batch.num_rows, count("raster.decode")
+for name in ("raster.phash", "raster.rasterize", "raster.psnr"):
+    assert count(name) == groups, (name, count(name))
+assert count("raster.vectorize") == 2 * groups, count("raster.vectorize")
+linework = [s for s in raster if s[1] == "raster.vectorize" and s[6]]
+assert len(linework) == groups and all(s[6]["segments"] > 0 for s in linework), linework
 """
 
 

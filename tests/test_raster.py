@@ -1,5 +1,8 @@
 """Codec, phash, vectorize/rasterize round-trip tests (FIXTURES.md §1, §6.3)."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -15,9 +18,108 @@ from geo_polygonize_ray.raster import (
     rgb_to_labels,
 )
 from geo_polygonize_ray.geom.kernels import signed_area_many
-from geo_polygonize_ray.raster.phash import hamming64
+from geo_polygonize_ray.raster.codec import _PNG_SIG, _chunk
+from geo_polygonize_ray.raster.phash import _DCT_M, _DCT_N, hamming64
 from geo_polygonize_ray.raster.rasterize import _ring_mask
+from geo_polygonize_ray.raster.vectorize import slab_stride
 from geo_polygonize_ray.sources.fixtures import make_scene
+
+# --- per-image references for the stacked kernels ---------------------------
+# The kernels as they ran one image at a time before the stacked versions
+# replaced them; the stacked kernels must return bit-identical results.
+
+
+def reference_labels_to_linework(labels):
+    """(h, w) labels -> boundary segments, one Python iteration per run."""
+    labels = np.asarray(labels)
+    h, w = labels.shape
+    hmask = np.ones((h + 1, w), dtype=bool)
+    hmask[1:h, :] = labels[1:, :] != labels[:-1, :]
+    vmask = np.ones((h, w + 1), dtype=bool)
+    vmask[:, 1:w] = labels[:, 1:] != labels[:, :-1]
+    vtouch = np.zeros((h + 1, w + 1), dtype=bool)
+    vtouch[:h, :] |= vmask
+    vtouch[1:, :] |= vmask
+    htouch = np.zeros((h + 1, w + 1), dtype=bool)
+    htouch[:, :w] |= hmask
+    htouch[:, 1:] |= hmask
+    segs = []
+    line_idx, starts, ends = _runs_to_segments(hmask)
+    if len(line_idx):
+        ys, xs0, xs1 = _split_runs(line_idx, starts, ends, vtouch[:, 1:w])
+        segs.append((xs0.astype(float), ys.astype(float), xs1.astype(float), ys.astype(float)))
+    line_idx, starts, ends = _runs_to_segments(vmask.T)
+    if len(line_idx):
+        xs, ys0, ys1 = _split_runs(line_idx, starts, ends, htouch[1:h, :].T)
+        segs.append((xs.astype(float), ys0.astype(float), xs.astype(float), ys1.astype(float)))
+    if not segs:
+        z = np.empty(0, dtype=np.float64)
+        return z, z.copy(), z.copy(), z.copy()
+    return tuple(np.concatenate([seg[k] for seg in segs]) for k in range(4))
+
+
+def _runs_to_segments(mask):
+    """(line, start, end) of the maximal True runs of each row of ``mask``."""
+    n, m = mask.shape
+    padded = np.zeros((n, m + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    d = np.diff(padded.astype(np.int8), axis=1)
+    line_idx, starts = np.nonzero(d == 1)
+    _, ends = np.nonzero(d == -1)
+    return line_idx, starts, ends
+
+
+def _split_runs(line_idx, starts, ends, break_mask):
+    """Split runs [start, end) on line ``line_idx`` at the interior corners
+    c with ``break_mask[line, c - 1]``."""
+    out_line, out_s, out_e = [], [], []
+    n_corners = break_mask.shape[1]
+    for l, s, e in zip(line_idx, starts, ends):
+        if e - s == 1:
+            out_line.append(np.array([l]))
+            out_s.append(np.array([s]))
+            out_e.append(np.array([e]))
+            continue
+        interior = np.arange(s + 1, e)
+        valid = interior[(interior - 1 < n_corners)]
+        brk = valid[break_mask[l, valid - 1]]
+        pts = np.concatenate([[s], brk, [e]])
+        out_line.append(np.full(len(pts) - 1, l))
+        out_s.append(pts[:-1])
+        out_e.append(pts[1:])
+    return np.concatenate(out_line), np.concatenate(out_s), np.concatenate(out_e)
+
+
+def reference_phash64(img):
+    """(h, w, 3) uint8 -> signed 64-bit pHash, one bit set per iteration."""
+    img = np.asarray(img, dtype=np.float64)
+    luma = 0.299 * img[..., 0] + 0.587 * img[..., 1] + 0.114 * img[..., 2]
+    h, w = luma.shape
+    n = _DCT_N
+    if h % n == 0 and w % n == 0:
+        small = luma.reshape(n, h // n, n, w // n).mean(axis=(1, 3))
+    else:
+        yi = (np.arange(n) * h // n).clip(0, h - 1)
+        xi = (np.arange(n) * w // n).clip(0, w - 1)
+        small = luma[np.ix_(yi, xi)].astype(np.float64)
+    dct = _DCT_M @ small @ _DCT_M.T
+    block = dct[:8, :8].ravel()
+    bits = block > np.median(block[1:])
+    val = np.uint64(0)
+    for i, b in enumerate(bits):
+        if b:
+            val |= np.uint64(1) << np.uint64(i)
+    return int(val.astype(np.int64))
+
+
+def reference_psnr(a, b):
+    """Float-mean PSNR in dB; 999.0 if identical."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    mse = float(np.mean((a - b) ** 2))
+    if mse == 0.0:
+        return 999.0
+    return 10.0 * np.log10(255.0**2 / mse)
 
 
 def _ring_mask_scanline(rx, ry, w, h):
@@ -63,16 +165,39 @@ def _per_ring_faces(fx, fy, offs, source):
     return out
 
 
-def _random_label_image(seed):
+def _random_label_image(seed, n=None):
     """Blocky random labels of a 5-color palette: many rings, nested and
-    touching, over more than one fill pass."""
+    touching, over more than one fill pass.  With ``n``: a stack of n such
+    images of one (h, w)."""
     rng = np.random.default_rng(seed)
     h, w = (int(v) for v in rng.integers(3, 72, 2))
     by, bx = (int(v) for v in rng.integers(1, 5, 2))
-    lab = rng.integers(0, 5, (h // by + 1, w // bx + 1))
-    lab = np.repeat(np.repeat(lab, by, 0), bx, 1)[:h, :w]
+    lab = rng.integers(0, 5, (n or 1, h // by + 1, w // bx + 1))
+    lab = np.repeat(np.repeat(lab, by, 1), bx, 2)[:, :h, :w]
     palette = rng.integers(0, 256, (5, 3)).astype(np.uint8)
-    return palette[lab]
+    return palette[lab] if n else palette[lab[0]]
+
+
+def _q6(img):
+    """The lossy rgb8-q6 round trip of one image."""
+    h, w, _ = img.shape
+    return decode_image(encode_image(img, "rgb8-q6"), w, h, "rgb8-q6")
+
+
+# same-shape image stacks for the stacked kernels: the fixture scenes, sizes
+# not divisible by 32 (phash's nearest-neighbour branch) and non-square,
+# q6-decoded scenes, noise, and blocky random label images
+STACKS = {
+    "scenes": [make_scene(i)[0] for i in range(48)] + [make_scene(i)[0] for i in (71, 116)],
+    "scenes_48x80": [make_scene(i, 80, 48)[0] for i in range(12)],
+    "scenes_17x33": [make_scene(i, 33, 17)[0] for i in range(12)],
+    "scenes_96x64": [make_scene(i, 64, 96)[0] for i in range(6)],
+    "q6_scenes": [_q6(make_scene(i)[0]) for i in range(12)],
+    "noise_20x36": [
+        np.random.default_rng(s).integers(0, 256, (20, 36, 3)).astype(np.uint8) for s in range(4)
+    ],
+    **{f"blocky_{s}": list(_random_label_image(s, 6)) for s in range(8)},
+}
 
 
 class TestCodec:
@@ -102,6 +227,38 @@ class TestCodec:
 
     def test_psnr_identical_capped(self):
         assert psnr(self.img, self.img) == 999.0
+
+    @pytest.mark.parametrize(
+        "filters", [[0], [1], [2], [3], [4], [0, 1, 2, 3, 4], [4, 3, 2, 1, 0, 0]]
+    )
+    def test_png_filters_decode(self, filters):
+        """Scanline y written with filter ``filters[y % len(filters)]``: all
+        unfiltered (one reshape) or mixed (the per-scanline path)."""
+        img = self.img[:11, :7]
+        data = _png_with_filters(img, [filters[y % len(filters)] for y in range(11)])
+        assert np.array_equal(decode_image(data, 7, 11, "png"), img)
+
+
+def _png_with_filters(img, filters):
+    """8-bit truecolor PNG of ``img`` whose scanline y uses filter type
+    ``filters[y]`` (0 None, 1 Sub, 2 Up, 3 Average, 4 Paeth; RFC 2083 6.2),
+    each predicted from the raw bytes of the pixel left, above and above-left."""
+    h, w, _ = img.shape
+    raw = img.reshape(h, w * 3).astype(np.int64)
+    lines = []
+    for y, f in enumerate(filters):
+        cur = raw[y]
+        up = raw[y - 1] if y else np.zeros(w * 3, dtype=np.int64)
+        left = np.concatenate([np.zeros(3, dtype=np.int64), cur[:-3]])
+        ul = np.concatenate([np.zeros(3, dtype=np.int64), up[:-3]])
+        p = left + up - ul
+        pa, pb, pc = np.abs(p - left), np.abs(p - up), np.abs(p - ul)
+        paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, ul))
+        pred = [0, left, up, (left + up) // 2, paeth][f]
+        lines.append(bytes([f]) + ((cur - pred) & 0xFF).astype(np.uint8).tobytes())
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    idat = zlib.compress(b"".join(lines))
+    return _PNG_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
 
 
 class TestPhash:
@@ -157,7 +314,10 @@ class TestVectorizeRoundtrip:
         "img",
         [make_scene(i)[0] for i in range(48)]
         + [make_scene(i)[0] for i in (71, 116)]
-        + [_random_label_image(s) for s in range(24)],
+        + [_random_label_image(s) for s in range(24)]
+        + [make_scene(i, 80, 48)[0] for i in range(4)]
+        + [make_scene(i, 33, 17)[0] for i in range(4)]
+        + [_q6(make_scene(i)[0]) for i in range(4)],
     )
     def test_one_pass_fill_matches_per_ring_fill(self, img):
         x0, y0, x1, y1 = labels_to_linework(rgb_to_labels(img))
@@ -210,3 +370,63 @@ class TestVectorizeRoundtrip:
         assert len(polys) == 64  # every pixel its own face
         out = rasterize_polygons(polys, img)
         assert np.array_equal(out, img)
+
+
+@pytest.mark.parametrize("name", list(STACKS))
+class TestStackedKernelsMatchReferences:
+    """Each stacked kernel is bit-identical to its per-image reference, on a
+    stack and on a single image."""
+
+    def test_linework(self, name):
+        labels = rgb_to_labels(np.stack(STACKS[name]))
+        stride = slab_stride(labels.shape[2])
+        ref = [reference_labels_to_linework(lab) for lab in labels]
+        want = [np.concatenate([r[k] + (i * stride if k % 2 == 0 else 0) for i, r in enumerate(ref)])
+                for k in range(4)]
+        got = labels_to_linework(labels, stride)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and np.array_equal(g, w)
+        for g, w in zip(labels_to_linework(labels[0]), ref[0]):
+            assert np.array_equal(g, w)
+
+    def test_phash(self, name):
+        imgs = STACKS[name]
+        want = [reference_phash64(img) for img in imgs]
+        got = phash64(np.stack(imgs))
+        assert got.dtype == np.int64 and got.tolist() == want
+        single = phash64(imgs[0])
+        assert type(single) is int and single == want[0]
+
+    def test_rasterize(self, name):
+        """Faces traced over the slab linework of the stack, colored from a
+        noisy source: every face takes the color of its first pixel."""
+        stack = np.stack(STACKS[name])
+        rng = np.random.default_rng(len(stack))
+        noisy = stack ^ rng.integers(0, 256, stack.shape).astype(np.uint8)
+        stride = slab_stride(stack.shape[2])
+        fx, fy, offs = trace_rings(*labels_to_linework(rgb_to_labels(stack), stride))
+        assert np.array_equal(rasterize_faces(fx, fy, offs, stack, stride), stack)
+        got = rasterize_faces(fx, fy, offs, noisy, stride)
+        for img, src, out in zip(stack, noisy, got):
+            ifx, ify, ioffs = trace_rings(*reference_labels_to_linework(rgb_to_labels(img)))
+            assert np.array_equal(out, _per_ring_faces(ifx, ify, ioffs, src))
+
+    def test_psnr(self, name):
+        """Against the stack's q6 round trip (lossy for most stacks)."""
+        stack = np.stack(STACKS[name])
+        lossy = np.stack([_q6(img) for img in stack])
+        want = [reference_psnr(a, b) for a, b in zip(stack, lossy)]
+        got = psnr(stack, lossy)
+        assert got.dtype == np.float64 and got.tolist() == want
+        assert psnr(stack, stack).tolist() == [999.0] * len(stack)
+        single = psnr(stack[0], lossy[0])
+        assert type(single) is float and single == want[0]
+
+
+def test_psnr_cases_are_lossy():
+    """TestStackedKernelsMatchReferences.test_psnr covers PSNR below the
+    999 cap: q6 loses bits of noise and of most palette colors."""
+    noise = np.stack(STACKS["noise_20x36"])
+    assert (psnr(noise, np.stack([_q6(img) for img in noise])) < 999.0).all()
+    scenes = np.stack(STACKS["scenes"])
+    assert (psnr(scenes, np.stack([_q6(img) for img in scenes])) < 999.0).any()
