@@ -60,7 +60,7 @@ class ImageRoundtrip:
         its own into its group's (n, h, w, 3) stack, and every raster kernel
         (phash, vectorize, rasterize, PSNR) runs once per group over it.
         Trace and assembly run once per group as well, over the group's
-        linework translated into disjoint slabs (image i at x + i * stride);
+        linework translated into disjoint slabs (image i at x + i * slab_stride(w));
         every geometric decision is translation-invariant and the integer
         coordinates stay exact, so each image's results are those of a
         one-image call.  Results are scattered back by row.  With
@@ -79,7 +79,7 @@ class ImageRoundtrip:
         if self.emit_polygons:
             tables = []
             for i in range(n):
-                _, flat = _polygonize(decode(i)[None], slab_stride(int(ws[i])))
+                _, flat = _polygonize(decode(i)[None])
                 t = flat_to_table(flat, tile_id=0)
                 tables.append(t.append_column("image_id", pa.array([image_ids[i]] * t.num_rows)))
             if not tables:
@@ -112,10 +112,10 @@ class ImageRoundtrip:
         )
 
 
-def _polygonize(stack: np.ndarray, stride: float):
+def _polygonize(stack: np.ndarray):
     """(n, h, w, 3) stack -> its traced rings (flat_x, flat_y, offsets) and
-    assembled polygons, image i at x + i * stride."""
-    x0, y0, x1, y1 = labels_to_linework(rgb_to_labels(stack), stride)
+    assembled polygons, image i at x + i * slab_stride(w)."""
+    x0, y0, x1, y1 = labels_to_linework(rgb_to_labels(stack))
     fx, fy, offs = trace_rings(x0, y0, x1, y1)
     return (fx, fy, offs), assemble_flat(fx, fy, offs)
 
@@ -123,17 +123,16 @@ def _polygonize(stack: np.ndarray, stride: float):
 def _roundtrip(stack: np.ndarray):
     """(n, h, w, 3) stack -> per-image (phash, n_polys, total_area, psnr_db)."""
     n, _, w, _ = stack.shape
-    stride = slab_stride(w)
     hashes = phash64(stack)
-    rings, flat = _polygonize(stack, stride)
+    rings, flat = _polygonize(stack)
     # attribute polygons by their shell's FIRST VERTEX — always inside the
     # slab, unlike the hole-inclusive centroid which can leave the bbox for
     # heavily-holed polygons
     sh_off = flat["shell_offsets"]
-    slab = (flat["shell_values_x"][sh_off[:-1]] // stride).astype(np.int64)
+    slab = (flat["shell_values_x"][sh_off[:-1]] // slab_stride(w)).astype(np.int64)
     # reconstruction uses the face decomposition (exact); polygon assembly
     # keeps reference parity for the stats/polygons output
-    recon = rasterize_faces(*rings, stack, stride)
+    recon = rasterize_faces(*rings, stack)
     return (
         hashes,
         np.bincount(slab, minlength=n),

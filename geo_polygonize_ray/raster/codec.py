@@ -57,9 +57,12 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     float), or of two (n, h, w, 3) stacks image by image (an (n,) array);
     999.0 where identical.  The squared error is summed exactly in
     integers: every partial sum of the float mean it replaces is an integer
-    below 2^53, so the result is bit-identical to it."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
+    below 2^53, so the result is bit-identical to it.  Any other dtype is
+    rejected rather than cast."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.dtype != np.uint8 or b.dtype != np.uint8:
+        raise TypeError(f"psnr takes uint8 images, got {a.dtype} and {b.dtype}")
     n = len(a) if a.ndim == 4 else 1
     d = (a.astype(np.int16) - b).reshape(n, int(np.prod(a.shape[-3:])))
     sse = np.einsum("ij,ij->i", d, d, dtype=np.int64)

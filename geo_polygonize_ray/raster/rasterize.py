@@ -46,8 +46,7 @@ def rasterize_polygons(
 
 
 def rasterize_faces(
-    flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray, source: np.ndarray,
-    stride: float | None = None,
+    flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray, source: np.ndarray
 ) -> np.ndarray:
     """Reconstruct the image from traced edge rings via the FACE
     decomposition: a pixel belongs to the smallest-area CW ring containing
@@ -56,9 +55,10 @@ def rasterize_faces(
     smallest-container = the pixel's face).
 
     ``source`` is one (h, w, 3) image or an (n, h, w, 3) stack; the output
-    has its shape.  For a stack the rings are slab rings: ring r belongs to
-    image ``flat_x[offsets[r]] // stride`` and is offset by ``image * stride``
-    in x (default ``slab_stride(w)``, as ``labels_to_linework`` emits).
+    has its shape.  For a stack the rings are slab rings, as traced from
+    ``labels_to_linework`` of the stack: with ``stride = slab_stride(w)``,
+    ring r belongs to image ``flat_x[offsets[r]] // stride`` and is offset
+    by ``image * stride`` in x.
 
     This is the exact reconstruction path: polygon *assembly* (hole
     assignment by centroid PIP, reference src/polygonizer.rs:199-249) can
@@ -69,8 +69,7 @@ def rasterize_faces(
     source = np.asarray(source)
     stack = source.reshape((-1,) + source.shape[-3:])
     n, h, w, _ = stack.shape
-    if stride is None:
-        stride = slab_stride(w)
+    stride = slab_stride(w)
     offsets = np.asarray(offsets, dtype=np.int64)
     areas = signed_area_many(flat_x, flat_y, offsets)
     ring_img = np.clip(flat_x[offsets[:-1]] // stride, 0, n - 1).astype(np.int64)
@@ -104,26 +103,16 @@ def rasterize_faces(
         # each by rank: the highest set bit is the last ring in big -> small
         # order whose interior holds the pixel.  table[i, b + 1] is the ring
         # of bit b in image i; column 0 stands for "no bit set".
-        row = np.arange(n)[:, None] * (_FILL_CHUNK + 1)
         for lo in range(0, int(rank.max(initial=-1)) + 1, _FILL_CHUNK):
             sel = (rank >= lo) & (rank < lo + _FILL_CHUNK)
             table = np.full((n, _FILL_CHUNK + 1), -1, dtype=np.int32)
             table[img[sel], rank[sel] - lo + 1] = order[sel]
-            bits = _scanline_bits(
+            # frexp's exponent of the (exact) float64 of a pixel's bits is
+            # its highest set bit + 1, and 0 when none is set
+            top = np.frexp(_scanline_bits(
                 flat_x, flat_y, offsets, order[sel], rank[sel] - lo, img[sel], stride, n, h, w
-            )
-            # cast in place (on 1-D views numpy needs no temporary copy): the
-            # exact float64 of a pixel's bits has exponent field 1023 + b for
-            # its highest bit b, and 0 when none is set
-            bits = bits.ravel()
-            np.copyto(bits.view(np.float64), bits.view(np.int64), casting="unsafe")
-            top = bits.view(np.int64).reshape(n, h * w)
-            top >>= 52
-            top -= 1022
-            np.maximum(top, 0, out=top)
-            hit = top > 0
-            top += row
-            np.copyto(owner, table.ravel()[top], where=hit)
+            ).astype(np.float64))[1].reshape(n, h * w)
+            np.copyto(owner, np.take_along_axis(table, top, axis=1), where=top > 0)
     else:
         for r, i in zip(order, img):
             s, e = offsets[r], offsets[r + 1]
@@ -135,9 +124,7 @@ def rasterize_faces(
     owner += 1  # 0: no owner
     first = np.full(len(offsets), len(pixels) - 1, dtype=np.int32)
     np.minimum.at(first, owner, np.arange(len(pixels), dtype=np.int32))
-    # gathered as one 3-byte item per pixel, which fancy indexing does
-    # straight from the int32 owners (np.take would copy them to intp)
-    out = pixels[first].view("V3").ravel()[owner].view(np.uint8).reshape(-1, 3)
+    out = pixels[first][owner]
     unowned = owner == 0
     out[unowned] = pixels[unowned]
     return out.reshape(source.shape)

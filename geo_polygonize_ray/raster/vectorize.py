@@ -37,11 +37,11 @@ def slab_stride(w: int) -> float:
 
 
 def labels_to_linework(
-    labels: np.ndarray, stride: float | None = None
+    labels: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(h, w) or (n, h, w) labels -> noded boundary segments (x0, y0, x1, y1)
-    float64; image ``i`` of a stack is offset by ``i * stride`` in x
-    (default ``slab_stride(w)``), so the images' linework never touches.
+    float64; image ``i`` of a stack is offset by ``i * slab_stride(w)`` in
+    x, so the images' linework never touches.
 
     A horizontal grid edge at row-boundary y between columns [x, x+1) is a
     boundary iff labels[y-1, x] != labels[y, x] (out-of-image counts as a
@@ -57,8 +57,6 @@ def labels_to_linework(
     labels = np.asarray(labels)
     stack = labels.reshape((-1,) + labels.shape[-2:])
     n, h, w = stack.shape
-    if stride is None:
-        stride = slab_stride(w)
 
     # boundary masks on the (h+1) x w horizontal grid edges and h x (w+1) vertical
     hmask = np.ones((n, h + 1, w), dtype=bool)
@@ -81,7 +79,7 @@ def labels_to_linework(
     # image-major, horizontal before vertical within an image
     img = np.concatenate([hi, vi])
     order = np.argsort(img, kind="stable")
-    off = img[order] * stride
+    off = img[order] * slab_stride(w)
     x0 = np.concatenate([hx0, vx])[order] + off
     y0 = np.concatenate([hy, vy0])[order]
     x1 = np.concatenate([hx1, vx])[order] + off

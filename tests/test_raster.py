@@ -383,7 +383,7 @@ class TestStackedKernelsMatchReferences:
         ref = [reference_labels_to_linework(lab) for lab in labels]
         want = [np.concatenate([r[k] + (i * stride if k % 2 == 0 else 0) for i, r in enumerate(ref)])
                 for k in range(4)]
-        got = labels_to_linework(labels, stride)
+        got = labels_to_linework(labels)
         for g, w in zip(got, want):
             assert g.dtype == np.float64 and np.array_equal(g, w)
         for g, w in zip(labels_to_linework(labels[0]), ref[0]):
@@ -403,10 +403,9 @@ class TestStackedKernelsMatchReferences:
         stack = np.stack(STACKS[name])
         rng = np.random.default_rng(len(stack))
         noisy = stack ^ rng.integers(0, 256, stack.shape).astype(np.uint8)
-        stride = slab_stride(stack.shape[2])
-        fx, fy, offs = trace_rings(*labels_to_linework(rgb_to_labels(stack), stride))
-        assert np.array_equal(rasterize_faces(fx, fy, offs, stack, stride), stack)
-        got = rasterize_faces(fx, fy, offs, noisy, stride)
+        fx, fy, offs = trace_rings(*labels_to_linework(rgb_to_labels(stack)))
+        assert np.array_equal(rasterize_faces(fx, fy, offs, stack), stack)
+        got = rasterize_faces(fx, fy, offs, noisy)
         for img, src, out in zip(stack, noisy, got):
             ifx, ify, ioffs = trace_rings(*reference_labels_to_linework(rgb_to_labels(img)))
             assert np.array_equal(out, _per_ring_faces(ifx, ify, ioffs, src))
@@ -421,6 +420,16 @@ class TestStackedKernelsMatchReferences:
         assert psnr(stack, stack).tolist() == [999.0] * len(stack)
         single = psnr(stack[0], lossy[0])
         assert type(single) is float and single == want[0]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16, np.int64])
+def test_psnr_rejects_non_uint8(dtype):
+    """A float image in [0, 1] or an int array above 255 is not cast."""
+    img = STACKS["scenes"][0]
+    with pytest.raises(TypeError):
+        psnr(img.astype(dtype), img)
+    with pytest.raises(TypeError):
+        psnr(img, img.astype(dtype))
 
 
 def test_psnr_cases_are_lossy():
