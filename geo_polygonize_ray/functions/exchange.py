@@ -36,6 +36,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 from ray.data.block import BlockAccessor
+from ray.data.dataset import MaterializedDataset
 
 # (block ref, first row, row count)
 Slice = tuple[ray.ObjectRef, int, int]
@@ -56,7 +57,13 @@ def dataset_slices(ds: rd.Dataset, n_parts: int) -> tuple[list[Slice], pa.Schema
 
     Returns (slices, schema, total rows).  Zero-row blocks are skipped; an
     input with no rows yields one empty slice of its schema, so downstream
-    tasks still see the columns."""
+    tasks still see the columns.
+
+    An in-memory input (``rd.from_arrow`` and the like) is materialized
+    first: the copy holds its computed blocks, so reading them starts no
+    streaming executor.  A lazy input still executes once, here."""
+    if isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
     blocks, schema = [], None
     for bundle in ds.iter_internal_ref_bundles():
         blocks.extend((ref, meta.num_rows) for ref, meta in bundle.blocks)

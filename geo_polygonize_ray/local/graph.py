@@ -8,7 +8,10 @@ exchange reduce task / actor call from one spatial cell's segment batch
 (SURVEY.md §1.3), which is exactly why segments are cell-partitioned.
 
 Semantics replicated exactly:
-  * bulk load with Z-order sort + exact-coord dedup  (planar_graph.rs:104-196)
+  * bulk load with exact-coord dedup                 (planar_graph.rs:104-196)
+    by hashing, not the reference's Z-order sort: node numbering is not
+    observable (each node's list is sorted by angle, and a ring starts at
+    its minimum half-edge id, fixed by segment order)
   * degenerate filter |dx|<1e-12 & |dy|<1e-12        (planar_graph.rs:211-213)
   * CCW angular sort with quadrant + robust orient2d + collinear
     nearest-first tie-break                          (utils/mod.rs:46-95)
@@ -19,6 +22,7 @@ Semantics replicated exactly:
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 
 from geo_polygonize_ray.geom.kernels import (
     pseudo_angle_within_quadrant,
@@ -34,6 +38,8 @@ class PlanarGraph:
     Built from arrays ``x0, y0, x1, y1`` (one row per undirected segment).
     Directed edge ids: edge i has half-edges 2i (u->v) and 2i+1 (v->u), the
     same layout as the reference (planar_graph.rs:243-244); sym(e) = e ^ 1.
+    ``sort_edges`` fills the adjacency that ``prune_dangles`` and
+    ``get_edge_rings`` read, so it runs first.
     """
 
     def __init__(self, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray):
@@ -47,47 +53,19 @@ class PlanarGraph:
         x0, y0, x1, y1 = x0[keep], y0[keep], x1[keep], y1[keep]
         m = len(x0)
 
-        # --- node dedup: exact-bits identity, ids in Z-order rank ------------
-        # The reference sorts endpoint entries by (z, x, y) and dedups on exact
-        # coord equality (planar_graph.rs:135-160).  Its z-order key uses only
-        # the LOW 32 bits of each sortable float (utils/mod.rs:29-31 masks),
-        # so z does NOT determine (x, y); we sort by the exact same composite
-        # key (z, x, y) to reproduce identical node id assignment.
-        ex = np.concatenate([x0, x1])
-        ey = np.concatenate([y0, y1])
-        ez = z_order_index(ex, ey)
-        # two-phase (z, x, y) sort: quicksort on z, then an exact (x, y)
-        # refinement of equal-z runs only.  Ties across all three keys are
-        # bit-identical coords (they dedup into one node below), so no
-        # stability is needed and quicksort replaces this numpy's slow
-        # stable sort.  Z collisions are rare for float soups; for
-        # integer-grid coords (all-zero low mantissa bits -> equal z) the
-        # refinement degenerates to the full lexsort, i.e. never worse.
-        order = np.argsort(ez)
-        ezs = ez[order]
-        same = ezs[1:] == ezs[:-1]
-        if same.any():
-            in_run = np.concatenate([[False], same]) | np.concatenate([same, [False]])
-            pos = np.flatnonzero(in_run)
-            sub = order[pos]
-            run_id = np.cumsum(np.concatenate([[True], ~same]))[pos]
-            ro = np.lexsort((ey[sub], ex[sub], run_id))
-            order[pos] = sub[ro]
-        sx, sy = ex[order], ey[order]
-        if m:
-            new = np.empty(2 * m, dtype=bool)
-            new[0] = True
-            new[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
-            self.nodes_x = sx[new]
-            self.nodes_y = sy[new]
-            # rank of each original endpoint among deduped nodes
-            rank = np.cumsum(new) - 1
-            endpoint_node = np.empty(2 * m, dtype=np.int64)
-            endpoint_node[order] = rank
-        else:
-            self.nodes_x = sx
-            self.nodes_y = sy
-            endpoint_node = np.empty(0, dtype=np.int64)
+        # --- node dedup: exact-coordinate hash -------------------------------
+        # One node per distinct (x, y) pair, numbered in first-appearance
+        # order.  pandas' float hash treats -0.0 and 0.0 as one key (both
+        # compare equal), and the node keeps its first endpoint's bits.
+        # Node numbering is not observable: each node's list is re-sorted
+        # by angle, a ring starts at its minimum half-edge id (fixed by
+        # segment order), and coordinates are read through the ids.
+        pts = np.empty(2 * m, dtype=np.complex128)
+        pts.real[:m], pts.real[m:] = x0, x1
+        pts.imag[:m], pts.imag[m:] = y0, y1
+        endpoint_node, nodes = pd.factorize(pts)
+        self.nodes_x = np.ascontiguousarray(nodes.real)
+        self.nodes_y = np.ascontiguousarray(nodes.imag)
 
         n = len(self.nodes_x)
         self.n_nodes = n
@@ -107,27 +85,84 @@ class PlanarGraph:
         self.nodes_degree = np.bincount(self.de_src, minlength=n).astype(np.int64)
         self.nodes_marked = np.zeros(n, dtype=bool)
 
-        # CSR adjacency in half-edge insertion order (matches the push order
-        # of planar_graph.rs:309-317: ties in the angular sort are resolved by
-        # Rust's stable sort, so insertion order matters for exact parity).
-        order_adj = np.argsort(self.de_src, kind="stable")
-        self.adj = order_adj  # flat list of DirEdgeIds grouped by src
-        self.adj_offsets = np.concatenate(
-            [[0], np.cumsum(np.bincount(self.de_src, minlength=n))]
-        ).astype(np.int64)
-        self._sorted = False
+        # CSR adjacency: node v's outgoing half-edges are
+        # adj[adj_offsets[v]:adj_offsets[v + 1]], filled by sort_edges
+        self.adj_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.nodes_degree, out=self.adj_offsets[1:])
+        self.adj = np.empty(0, dtype=np.int64)
+
+    def _use_reference_numbering(self) -> None:
+        """Renumber nodes in the reference's (z, x, y) endpoint order
+        (planar_graph.rs:135-160; z is the Morton key of utils/mod.rs:11-15)
+        and lay the adjacency out in half-edge insertion order per node.
+
+        The generic angular sort needs it: two half-edges to the same
+        destination (a duplicated segment of an un-noded soup) tie on every
+        key, and their order is whatever the quicksort leaves, which depends
+        on the whole key array and so on the node numbering."""
+        nx, ny = self.nodes_x, self.nodes_y
+        order = np.lexsort((ny, nx, z_order_index(nx, ny)))
+        new_id = np.empty(self.n_nodes, dtype=np.int64)
+        new_id[order] = np.arange(self.n_nodes)
+        self.nodes_x, self.nodes_y = nx[order], ny[order]
+        self.nodes_degree = self.nodes_degree[order]
+        self.nodes_marked = self.nodes_marked[order]
+        self.edge_src, self.edge_dst = new_id[self.edge_src], new_id[self.edge_dst]
+        self.de_src, self.de_dst = new_id[self.de_src], new_id[self.de_dst]
+        np.cumsum(self.nodes_degree, out=self.adj_offsets[1:])
+        # matches the push order of planar_graph.rs:309-317
+        self.adj = np.argsort(self.de_src, kind="stable")
 
     # ------------------------------------------------------------------
     def sort_edges(self) -> None:
         """CCW angular sort of each node's outgoing half-edges.
 
         compare_angular (utils/mod.rs:46-85): quadrant first, then robust
-        orient2d, collinear ties by squared distance ascending.  Vectorized:
-        sort by (quadrant, float pseudo-angle, squared distance) with a
-        stable lexsort, then certify every adjacent pair with the orient2d
-        error-bound filter; nodes with an uncertain or violated pair are
-        re-sorted exactly in Python (rare: near-collinear float geometry).
+        orient2d, collinear ties by squared distance ascending.
+
+        Axis-aligned graphs (every segment has dx == 0 or dy == 0, the
+        noder's ``_find_splits_aa`` case) with at most one half-edge per
+        (node, direction) need no comparison at all: the quadrants E, N, W,
+        S are the CCW order, so each half-edge goes straight to its slot
+        ``adj_offsets[src]`` + the number of its node's occupied quadrants
+        below its own.  Every other graph takes the generic path: sort by
+        (quadrant, float pseudo-angle, squared distance), then certify
+        every adjacent pair with the orient2d error-bound filter; nodes
+        with an uncertain or violated pair are re-sorted exactly in Python
+        (rare: near-collinear float geometry).
         """
+        if not self._sort_axis_aligned():
+            self._use_reference_numbering()
+            self._sort_generic()
+
+    def _sort_axis_aligned(self) -> bool:
+        """Slot placement of the axis-aligned case; False (nothing done)
+        when some segment is not axis-aligned or some node has two
+        half-edges in one direction (collinear overlaps of an un-noded
+        soup)."""
+        m = self.n_edges
+        dx = self.nodes_x[self.edge_dst] - self.nodes_x[self.edge_src]
+        dy = self.nodes_y[self.edge_dst] - self.nodes_y[self.edge_src]
+        if np.all((dx == 0) | (dy == 0)):
+            # quadrant of half-edge 2i; its twin 2i+1 points the other way
+            q = (dy != 0).astype(np.int64) + 2 * ((dx < 0) | (dy < 0))
+            key = np.empty(2 * m, dtype=np.int64)
+            key[0::2] = q
+            key[1::2] = q ^ 2
+            key += 4 * self.de_src
+            occ = np.bincount(key, minlength=4 * self.n_nodes)
+            if occ.max(initial=0) <= 1:
+                occ = occ.reshape(-1, 4)
+                below = np.cumsum(occ, axis=1) - occ
+                slot = self.adj_offsets[self.de_src] + below.ravel()[key]
+                self.adj = np.empty(2 * m, dtype=np.int64)
+                self.adj[slot] = np.arange(2 * m)
+                return True
+        return False
+
+    def _sort_generic(self) -> None:
+        """(quadrant, pseudo-angle) quicksort of the adjacency, certified
+        pair by pair and repaired exactly where the float key may be wrong."""
         de = self.adj
         cx = self.nodes_x[self.de_src[de]]
         cy = self.nodes_y[self.de_src[de]]
@@ -147,9 +182,10 @@ class PlanarGraph:
             # checks EVERY adjacent pair with exact predicates and
             # re-sorts flagged nodes with the reference comparator, so
             # quantization misorders (near-equal angles) and unstable
-            # ties are always repaired; exact full-key ties would mean
-            # two half-edges to the same destination coords, which the
-            # noder's segment dedup makes impossible.
+            # ties are always repaired.  Exact full-key ties are two
+            # half-edges to the same destination (a duplicated segment,
+            # which the noder's dedup removes); they keep the quicksort's
+            # order, which follows from the (z, x, y) node numbering.
             angq = np.minimum((ang * float(1 << 21)).astype(np.uint64), np.uint64((1 << 24) - 1))
             key = (src.astype(np.uint64) << np.uint64(24)) | angq
             order = np.argsort(key)
@@ -187,7 +223,6 @@ class PlanarGraph:
             if suspicious.any():
                 bad_nodes = np.unique(self.de_src[a[suspicious]])
                 self._exact_resort(bad_nodes)
-        self._sorted = True
 
     def _exact_resort(self, node_ids: np.ndarray) -> None:
         """Exact Python re-sort of the adjacency of the given nodes using the
@@ -301,9 +336,10 @@ class PlanarGraph:
         # successor and `step` is a bijection on the unmarked set (sym is an
         # involution pairing marked edges together; succ is cyclic per node),
         # so the ring set is EXACTLY the cycle decomposition of `step` and
-        # no "invalid walk" can occur.  That makes the trace vectorizable:
-        # cycle leaders via min-label pointer doubling, in-cycle ranks via
-        # list ranking — O(n log n) numpy instead of a per-edge Python loop.
+        # no "invalid walk" can occur.  The reference emits rings in order of
+        # their smallest half-edge id, each starting at that edge (its
+        # leader); the trace below finds every edge's leader and its
+        # rank (steps from the leader), then scatters the coordinates into place.
         live = np.flatnonzero(~de_marked)
         if len(live) == 0:
             return (
@@ -316,71 +352,31 @@ class PlanarGraph:
             # incomplete pruning (API misuse): fall back to the scalar walk
             return self._get_edge_rings_scalar(next_ptr)
 
-        # compact to local indices over the live set
-        local = np.full(n_de, -1, dtype=np.int64)
-        local[live] = np.arange(len(live))
-        nxt = local[step_all]  # permutation over live edges
-
-        # cycle leader = min ORIGINAL edge id in the cycle (reference emits
-        # rings in order of their smallest unvisited half-edge id)
-        lab = live.copy()
-        jump = nxt.copy()
+        # compact to local indices over the live set; live is ascending, so
+        # the minimum local index of a cycle is its minimum edge id
         m = len(live)
-        steps = 1
-        while steps < m:
-            new_lab = np.minimum(lab, lab[jump])
-            if np.array_equal(new_lab, lab):
-                # convergence proof: labels are DISTINCT edge ids, so "no
-                # change at window 2^k" forces every cycle length <= 2^(k-1)
-                # (a longer cycle has a position whose doubled window first
-                # reaches the cycle minimum).  Rings are short (~4-8 edges),
-                # so this exits after ~3 rounds instead of log2(m).
-                break
-            lab = new_lab
-            jump = jump[jump]
-            steps <<= 1
-
-        # rank within cycle from the leader via list ranking: break each
-        # cycle just before its leader, then distance-to-terminal doubling
-        leader_local = local[lab]  # local idx of each edge's cycle leader
-        prev = np.empty(m, dtype=np.int64)
-        prev[nxt] = np.arange(m)
-        ptr = nxt.copy()
-        ptr[prev[leader_local]] = prev[leader_local]  # terminal self-loop at cycle end
-        dist = np.where(ptr == np.arange(m), 0, 1).astype(np.int64)
-        steps = 1
-        while steps < m:
-            dist = dist + dist[ptr]
-            ptr_new = ptr[ptr]
-            if np.array_equal(ptr_new, ptr):
-                break  # every pointer reached its terminal; dist is final
-            ptr = ptr_new
-            steps <<= 1
-        # dist = #steps to cycle end; rank from leader = cycle_len - 1 - dist
-        ring_sizes = np.bincount(leader_local, minlength=m)
-        rank = ring_sizes[leader_local] - 1 - dist
-
-        # order rings by leader edge id, edges by rank within ring — packed
-        # into ONE uint64 (keys are unique: rank is unique within a ring),
-        # so a single quicksort replaces the 2-pass stable lexsort
-        if n_de < (1 << 32):
-            order = np.argsort((lab.astype(np.uint64) << np.uint64(32)) | rank.astype(np.uint64))
+        if m == n_de:
+            nxt = step_all
         else:
-            order = np.lexsort((rank, lab))
-        ordered_edges = live[order]
-        ordered_leaders = lab[order]
-        starts_mask = np.concatenate([[True], ordered_leaders[1:] != ordered_leaders[:-1]])
-        ring_starts = np.flatnonzero(starts_mask)
-        sizes = np.diff(np.concatenate([ring_starts, [m]]))
+            local = np.full(n_de, -1, dtype=np.int64)
+            local[live] = np.arange(m)
+            nxt = local[step_all]  # permutation over live edges
+        lab, rank = _short_cycles(nxt)
+        long_ = np.flatnonzero(lab < 0)
+        if len(long_):
+            lab[long_], rank[long_] = _long_cycles(nxt, long_)
 
-        # coords: ring k = src(first edge) + dst(each edge in order)
-        n_rings = len(ring_starts)
-        total = m + n_rings
-        offsets = np.concatenate([[0], np.cumsum(sizes + 1)]).astype(np.int64)
-        all_nodes = np.empty(total, dtype=np.int64)
-        all_nodes[offsets[:-1]] = de_src[ordered_edges[ring_starts]]
-        pos = np.arange(m) + np.repeat(np.arange(1, n_rings + 1), sizes)
-        all_nodes[pos] = de_dst[ordered_edges]
+        # ring k = the k-th leader in id order: src(leader), then dst of
+        # each edge in walk order
+        leader = lab == np.arange(m)
+        ring_of = np.cumsum(leader)
+        n_rings = int(ring_of[-1])
+        ring = ring_of[lab] - 1
+        offsets = np.zeros(n_rings + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ring, minlength=n_rings) + 1, out=offsets[1:])
+        all_nodes = np.empty(m + n_rings, dtype=np.int64)
+        all_nodes[offsets[:-1]] = de_src[live[leader]]
+        all_nodes[offsets[ring] + 1 + rank] = de_dst[live]
         return nx[all_nodes], ny[all_nodes], offsets
 
     def _get_edge_rings_scalar(self, next_ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -432,3 +428,86 @@ class PlanarGraph:
         offsets = np.concatenate([[0], np.cumsum(lengths)])
         all_nodes = np.concatenate(ring_node_lists)
         return nx[all_nodes], ny[all_nodes], offsets
+
+
+# Rings of a noded cell are short: unit faces have 4 edges, and only the
+# outer boundary of each component is long.
+_WALK_STEPS = 6
+
+
+def _short_cycles(nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leader (minimum element) and rank (steps from the leader) of every
+    element of the permutation ``nxt`` whose cycle has at most
+    ``_WALK_STEPS`` + 1 elements; elements of longer cycles get leader -1.
+
+    Every element first takes the minimum over its next ``_WALK_STEPS``
+    successors, which is its leader when its cycle fits in that window.
+    Each cycle's minimum is its own window minimum, so only those
+    candidates walk on to rank their cycle; a candidate back at itself
+    within the window is a leader, and the rest lie on longer cycles."""
+    m = len(nxt)
+    idx = np.arange(m)
+    low = np.minimum(idx, nxt)
+    cur = nxt
+    for _ in range(_WALK_STEPS - 1):
+        cur = nxt[cur]
+        np.minimum(low, cur, out=low)
+
+    rank = np.zeros(m, dtype=np.int64)
+    act = cur = np.flatnonzero(low == idx)
+    leaders = []
+    for k in range(1, _WALK_STEPS + 2):
+        cur = nxt[cur]
+        rank[cur] = k
+        back = cur == act
+        if back.any():
+            leaders.append(act[back])
+            act, cur = act[~back], cur[~back]
+            if not len(act):
+                break
+    is_leader = np.zeros(m, dtype=bool)
+    for ids in leaders:
+        is_leader[ids] = True
+        rank[ids] = 0
+    return np.where(is_leader[low], low, -1), rank
+
+
+def _long_cycles(nxt: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leader and rank (as ``_short_cycles``) for ``ids``, the ascending
+    elements of whole cycles of ``nxt``, by pointer doubling over the
+    compacted sub-permutation: O(n log L) for cycles of length L."""
+    n = len(ids)
+    local = np.empty(len(nxt), dtype=np.int64)
+    local[ids] = np.arange(n)
+    sub = local[nxt[ids]]
+
+    # cycle leader = min element, by min-label doubling
+    lab = np.arange(n)
+    jump = sub.copy()
+    steps = 1
+    while steps < n:
+        new_lab = np.minimum(lab, lab[jump])
+        if np.array_equal(new_lab, lab):
+            # labels are distinct, so "no change at window 2^k" forces
+            # every cycle length <= 2^(k-1): a longer cycle has a position
+            # whose doubled window first reaches the cycle minimum
+            break
+        lab = new_lab
+        jump = jump[jump]
+        steps <<= 1
+
+    # steps to the leader by list ranking (the leader is the terminal);
+    # rank = cycle length - steps, 0 at the leader
+    idx = np.arange(n)
+    ptr = np.where(lab == idx, idx, sub)
+    dist = (ptr != idx).astype(np.int64)
+    steps = 1
+    while steps < n:
+        dist += dist[ptr]
+        ptr_new = ptr[ptr]
+        if np.array_equal(ptr_new, ptr):
+            break  # every pointer reached its terminal; dist is final
+        ptr = ptr_new
+        steps <<= 1
+    size = np.bincount(lab, minlength=n)[lab]
+    return ids[lab], (size - dist) % size

@@ -158,43 +158,20 @@ def _assemble_core(flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray):
     minx, miny, maxx, maxy = bbox_many(flat_x, flat_y, offsets)
 
     # --- promotion anti-join (src/polygonizer.rs:151-185) ------------------
-    # keyed scan instead of the reference's O(H*S) loop: group rings by
-    # bit-exact bbox (lexsort + adjacent-compare, no Python dict); only
-    # holes whose bbox also appears among shells need the 1e-6 area check,
-    # and that check runs vectorized per bbox group.
+    # keyed scan instead of the reference's O(H*S) loop.  A twin shares its
+    # hole's exact bbox, so only shells whose minx occurs among the holes'
+    # and holes whose minx occurs among those shells can pair up; those
+    # are grouped by bit-exact bbox (lexsort + adjacent-compare, no Python
+    # dict), and the 1e-6 area check runs vectorized per bbox group.
+    has_twin = np.zeros(len(hole_ids), dtype=bool)
     if len(shell_ids) and len(hole_ids):
-        sb = np.stack([minx[shell_ids], miny[shell_ids], maxx[shell_ids], maxy[shell_ids]], axis=1)
-        hb = np.stack([minx[hole_ids], miny[hole_ids], maxx[hole_ids], maxy[hole_ids]], axis=1)
-        both = np.concatenate([sb, hb])
-        order = np.lexsort((both[:, 3], both[:, 2], both[:, 1], both[:, 0]))
-        sb_sorted = both[order]
-        new_grp = np.concatenate(
-            [[True], np.any(sb_sorted[1:] != sb_sorted[:-1], axis=1)]
-        )
-        gid = np.empty(len(both), dtype=np.int64)
-        gid[order] = np.cumsum(new_grp) - 1
-        g_shell = gid[: len(sb)]
-        g_hole = gid[len(sb):]
-        cand = np.isin(g_hole, g_shell)  # holes sharing a shell's exact bbox
-        has_twin = np.zeros(len(hole_ids), dtype=bool)
-        if cand.any():
-            # per candidate (hole, shell) pair in the same bbox group:
-            # twin iff | |area_s| - |area_h| | < 1e-6
-            so = np.argsort(g_shell, kind="stable")
-            gs, sa = g_shell[so], np.abs(areas[shell_ids])[so]
-            ch = np.flatnonzero(cand)
-            lo = np.searchsorted(gs, g_hole[ch], side="left")
-            hi = np.searchsorted(gs, g_hole[ch], side="right")
-            cnt = hi - lo
-            rep = np.repeat(np.arange(len(ch)), cnt)
-            pos = np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-            match = np.abs(sa[np.repeat(lo, cnt) + pos] - np.abs(areas[hole_ids[ch]])[rep]) < 1e-6
-            hit = np.zeros(len(ch), dtype=bool)
-            np.logical_or.at(hit, rep, match)
-            has_twin[ch] = hit
-        promoted = hole_ids[~has_twin]
-    else:
-        promoted = hole_ids.copy()
+        s_cand, h_cand = _shared_values(minx[shell_ids], minx[hole_ids])
+        hc = np.flatnonzero(h_cand)
+        if len(hc):
+            has_twin[hc] = _twins(
+                shell_ids[s_cand], hole_ids[hc], areas, minx, miny, maxx, maxy
+            )
+    promoted = hole_ids[~has_twin]
     shells = np.concatenate([shell_ids, promoted.astype(np.int64)]).astype(np.int64)
     n_orig = len(shell_ids)
 
@@ -297,6 +274,59 @@ def _assemble_core(flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray):
         shells, n_orig, shell_areas, hole_ids, assigned, areas, cx_all, cy_all,
         (minx, miny, maxx, maxy),
     )
+
+
+def _shared_values(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the elements of ``a`` whose value occurs in ``b`` and of
+    ``b`` whose value occurs in ``a`` (``np.isin`` both ways), from one
+    sort of the shorter array."""
+    if len(a) > len(b):
+        in_a, in_b = _shared_values(b, a)
+        return in_b, in_a
+    order = np.argsort(a)
+    sa = a[order]
+    i = np.minimum(np.searchsorted(sa, b), len(sa) - 1)
+    b_in = sa[i] == b
+    # searchsorted finds the first of a run of equal values: mark the runs
+    run = np.cumsum(np.concatenate([[True], sa[1:] != sa[:-1]])) - 1
+    hit = np.zeros(run[-1] + 1, dtype=bool)
+    hit[run[i[b_in]]] = True
+    a_in = np.empty(len(a), dtype=bool)
+    a_in[order] = hit[run]
+    return a_in, b_in
+
+
+def _twins(shell_ids, hole_ids, areas, minx, miny, maxx, maxy) -> np.ndarray:
+    """Per hole: does a shell with the bit-identical bbox and an absolute
+    area within 1e-6 exist (the reference's twin test)?"""
+    sb = np.stack([minx[shell_ids], miny[shell_ids], maxx[shell_ids], maxy[shell_ids]], axis=1)
+    hb = np.stack([minx[hole_ids], miny[hole_ids], maxx[hole_ids], maxy[hole_ids]], axis=1)
+    both = np.concatenate([sb, hb])
+    order = np.lexsort((both[:, 3], both[:, 2], both[:, 1], both[:, 0]))
+    sb_sorted = both[order]
+    new_grp = np.concatenate([[True], np.any(sb_sorted[1:] != sb_sorted[:-1], axis=1)])
+    gid = np.empty(len(both), dtype=np.int64)
+    gid[order] = np.cumsum(new_grp) - 1
+    g_shell = gid[: len(sb)]
+    g_hole = gid[len(sb):]
+    cand = np.isin(g_hole, g_shell)  # holes sharing a shell's exact bbox
+    has_twin = np.zeros(len(hole_ids), dtype=bool)
+    if cand.any():
+        # per candidate (hole, shell) pair in the same bbox group:
+        # twin iff | |area_s| - |area_h| | < 1e-6
+        so = np.argsort(g_shell, kind="stable")
+        gs, sa = g_shell[so], np.abs(areas[shell_ids])[so]
+        ch = np.flatnonzero(cand)
+        lo = np.searchsorted(gs, g_hole[ch], side="left")
+        hi = np.searchsorted(gs, g_hole[ch], side="right")
+        cnt = hi - lo
+        rep = np.repeat(np.arange(len(ch)), cnt)
+        pos = np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        match = np.abs(sa[np.repeat(lo, cnt) + pos] - np.abs(areas[hole_ids[ch]])[rep]) < 1e-6
+        hit = np.zeros(len(ch), dtype=bool)
+        np.logical_or.at(hit, rep, match)
+        has_twin[ch] = hit
+    return has_twin
 
 
 def assemble_flat(

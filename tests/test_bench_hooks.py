@@ -12,7 +12,9 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Traced job 1: both TilePolygonizer row formats and one stitch tracer call.
 # Every (plane, tile) cell must give exactly one trace.cell span with exactly
-# one local.assemble span inside it.  Traced job 2: one ImageRoundtrip call on
+# one span of each kernel phase inside it: local.graph, local.sort,
+# local.prune, local.rings and local.assemble (the per-layer split reads
+# these five method names).  Traced job 2: one ImageRoundtrip call on
 # a batch of two image shapes, which must run each raster kernel once per
 # shape (rgb_to_labels and labels_to_linework both record raster.vectorize)
 # and decode once per row, all inside its images.task span.
@@ -63,9 +65,10 @@ assert out["phash_ok"].to_pylist() == [True] * 6 and out["roundtrip_ok"].to_pyli
 n_cells = 1 + len(np.unique(segs["tile_id"])) + len(np.unique(rows["tile_id"]))
 spans = [s for _, s in read_spans(span_dir) if s[0] == 1]
 cells = [s[4] for s in spans if s[1] == "trace.cell"]
-assemble_parents = [s[5] for s in spans if s[1] == "local.assemble"]
 assert len(cells) == n_cells == 9, (len(cells), n_cells)
-assert sorted(assemble_parents) == sorted(cells), (assemble_parents, cells)
+for name in ("local.graph", "local.sort", "local.prune", "local.rings", "local.assemble"):
+    parents = [s[5] for s in spans if s[1] == name]
+    assert sorted(parents) == sorted(cells), (name, parents, cells)
 
 spans = [s for _, s in read_spans(span_dir) if s[0] == 2]
 tasks = [s[4] for s in spans if s[1] == "images.task"]

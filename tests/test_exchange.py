@@ -17,7 +17,7 @@ import ray
 import ray.data as rd
 
 from geo_polygonize_ray.config import PipelineConfig
-from geo_polygonize_ray.functions.exchange import dataset_slices, exchange
+from geo_polygonize_ray.functions.exchange import dataset_slices, exchange, row_ranges
 from geo_polygonize_ray.pipelines.polygonize import (
     _exchange_bucket,
     polygonize_dataset,
@@ -242,3 +242,20 @@ class TestExchangeStructure:
         out = consume(polygonize_dataset(ds, cfg))
         assert out.num_rows == 1024 + 99
         assert log.read_text().count("x") == 1
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("n_blocks", [1, 5])
+def test_in_memory_input_slices(n_blocks):
+    """A materialized input is cut into the same (block, first row, rows)
+    slices as reading its bundles directly, over the same block objects."""
+    t = pa.table({"a": np.arange(1000, dtype=np.int64)})
+    step = 1000 // n_blocks
+    ds = rd.from_arrow([t.slice(i * step, step) for i in range(n_blocks)])
+    blocks = [b for bundle in ds.iter_internal_ref_bundles() for b in bundle.blocks]
+    want = [(blocks[i][0], lo, n) for i, lo, n in row_ranges([m.num_rows for _, m in blocks], 4)]
+    slices, schema, total = dataset_slices(ds, 4)
+    assert slices == want
+    assert schema == t.schema and total == 1000
+    got = pa.concat_tables(ray.get(ref).slice(lo, n) for ref, lo, n in slices)
+    assert got.equals(t)

@@ -302,3 +302,29 @@ class TestRemovedPathsOracle:
         with_dedup = noder.node(*explode(dedup_linestrings(SCENES[name])))
         without = noder.node(*explode(SCENES[name]))
         assert [a.tobytes() for a in with_dedup] == [a.tobytes() for a in without]
+
+
+class TestSignedZero:
+    """A unit square whose left edge is written with -0.0 is one square:
+    -0.0 and 0.0 are the same coordinate, so its corners must be shared."""
+
+    SQUARE = [
+        ls((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+        ls((-0.0, 1.0), (-0.0, 0.0)),
+    ]
+
+    @pytest.mark.parametrize("node_input", [False, True])
+    def test_polygonize_lines(self, node_input):
+        polys = polygonize_lines(self.SQUARE, node_input=node_input)
+        assert len(polys) == 1 and polys[0].area == 1.0
+
+    @pytest.mark.parametrize("node_input", [False, True])
+    def test_polygonize_table_local(self, node_input):
+        from geo_polygonize_ray.config import PipelineConfig
+        from geo_polygonize_ray.pipelines.polygonize import polygonize_table_local
+        from geo_polygonize_ray.sources.fixtures import linework_table
+
+        out = polygonize_table_local(
+            linework_table(self.SQUARE), PipelineConfig(node_input=node_input)
+        )
+        assert out.num_rows == 1 and out["area"].to_pylist() == [1.0]
