@@ -71,8 +71,8 @@ def dataset_slices(ds: rd.Dataset, n_parts: int) -> tuple[list[Slice], pa.Schema
     if schema is None:  # only empty blocks, which may carry no schema
         schema = ds.schema()
     schema = getattr(schema, "base_schema", schema)
-    if not isinstance(schema, pa.Schema):  # non-Arrow blocks: read one
-        schema = _to_arrow(ray.get(blocks[0][0])).schema
+    if not isinstance(schema, pa.Schema):  # non-Arrow blocks: a task reads one
+        schema = ray.get(_call_task.remote(_arrow_schema, blocks[0][0]))
     blocks = [(ref, n) for ref, n in blocks if n]
     total = sum(n for _, n in blocks)
     if not total:
@@ -98,6 +98,10 @@ def row_ranges(counts: Sequence[int], n_parts: int) -> list[tuple[int, int, int]
 
 def _to_arrow(block) -> pa.Table:
     return block if isinstance(block, pa.Table) else BlockAccessor.for_block(block).to_arrow()
+
+
+def _arrow_schema(block) -> pa.Schema:
+    return _to_arrow(block).schema
 
 
 def slice_table(block, offset: int, rows: int) -> pa.Table:

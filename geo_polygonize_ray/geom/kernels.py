@@ -76,6 +76,29 @@ def signed_area(xs: np.ndarray, ys: np.ndarray) -> float:
     return 0.5 * float(np.sum(xs * y2 - x2 * ys))
 
 
+def _running_sums(edge_values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per-ring sums of per-edge values of flat rings (value i belongs to
+    the edge from vertex i to vertex i + 1; the edges between two rings are
+    left out), as differences of one running sum over all rings."""
+    csum = np.concatenate([[0.0], np.cumsum(edge_values)])
+    starts = offsets[:-1]
+    ends = np.maximum(offsets[1:] - 1, starts)
+    return csum[ends] - csum[starts]
+
+
+def _ring_sums(edge_values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The sums of ``_running_sums``, each over its own ring's values only,
+    so a ring's sum is the same bits whatever rings are stored with it (a
+    difference of running sums rounds with the rings before it).
+    ``bincount`` adds each ring's values in edge order, starting at 0."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n = len(offsets) - 1
+    ring = np.repeat(np.arange(n), np.diff(offsets))[:-1]
+    between = offsets[1:-1] - 1  # edges from one ring's last vertex to the next's first
+    ring[between[between >= 0]] = n
+    return np.bincount(ring, weights=edge_values, minlength=n + 1)[:n]
+
+
 def signed_area_many(flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Shoelace area of many rings stored flat with list offsets (Arrow layout).
 
@@ -86,10 +109,7 @@ def signed_area_many(flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray
     flat_x = np.asarray(flat_x, dtype=np.float64)
     flat_y = np.asarray(flat_y, dtype=np.float64)
     cross = flat_x[:-1] * flat_y[1:] - flat_x[1:] * flat_y[:-1]
-    csum = np.concatenate([[0.0], np.cumsum(cross)])
-    starts = offsets[:-1]
-    ends = np.maximum(offsets[1:] - 1, starts)
-    return 0.5 * (csum[ends] - csum[starts])
+    return 0.5 * _running_sums(cross, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -149,20 +169,29 @@ def ring_centroid_many(
     flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized closed-ring centroids with the first-point degenerate fallback."""
+    return _centroids(flat_x, flat_y, offsets, _running_sums)
+
+
+def ring_centroid_isolated(
+    flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``ring_centroid_many`` with each ring's sums over its own edges only:
+    the same ring gives the same bits in any tile, whatever else the tile
+    traced, which the half-open ownership rule needs to give a centroid on
+    a shared tile edge to exactly one tile.  (``ring_centroid_many`` keeps
+    its running sums: the emitted centroids are pinned by goldens.)"""
+    return _centroids(flat_x, flat_y, offsets, _ring_sums)
+
+
+def _centroids(flat_x, flat_y, offsets, sums) -> tuple[np.ndarray, np.ndarray]:
     flat_x = np.asarray(flat_x, dtype=np.float64)
     flat_y = np.asarray(flat_y, dtype=np.float64)
     cross = flat_x[:-1] * flat_y[1:] - flat_x[1:] * flat_y[:-1]
-    sx = (flat_x[:-1] + flat_x[1:]) * cross
-    sy = (flat_y[:-1] + flat_y[1:]) * cross
-    ccum = np.concatenate([[0.0], np.cumsum(cross)])
-    sxcum = np.concatenate([[0.0], np.cumsum(sx)])
-    sycum = np.concatenate([[0.0], np.cumsum(sy)])
     starts = offsets[:-1]
-    ends = np.maximum(offsets[1:] - 1, starts)
-    a2 = ccum[ends] - ccum[starts]  # 2 * signed area
+    a2 = sums(cross, offsets)  # 2 * signed area
     with np.errstate(divide="ignore", invalid="ignore"):
-        cx = (sxcum[ends] - sxcum[starts]) / (3.0 * a2)
-        cy = (sycum[ends] - sycum[starts]) / (3.0 * a2)
+        cx = sums((flat_x[:-1] + flat_x[1:]) * cross, offsets) / (3.0 * a2)
+        cy = sums((flat_y[:-1] + flat_y[1:]) * cross, offsets) / (3.0 * a2)
     degen = a2 == 0.0
     if degen.any():
         cx = np.where(degen, flat_x[starts], cx)

@@ -29,6 +29,7 @@ import numpy as np
 from geo_polygonize_ray.geom.kernels import (
     explode_index,
     pair_points_in_rings,
+    ring_centroid_isolated,
     ring_centroid_many,
     signed_area,
     signed_area_many,
@@ -413,10 +414,11 @@ def assemble_flat(
     # pair put the anchor at x=-94).  The shell ring centroid lies in the
     # ring's convex hull (inside the traced window by the buffer contract)
     # and is bit-deterministic across tiles because rings always start at
-    # their canonical minimal edge.  Emitted cx/cy keep geo parity.
-    own_cx = cx_all[shells]
-    own_cy = cy_all[shells]
+    # their canonical minimal edge and ring_centroid_isolated sums each
+    # ring over its own edges only.  Emitted cx/cy keep geo parity.
     if owner_rect is not None:
+        own_cx, own_cy = ring_centroid_isolated(flat_x, flat_y, offsets)
+        own_cx, own_cy = own_cx[shells], own_cy[shells]
         tx0, ty0, tx1, ty1 = owner_rect
         owned = (own_cx >= tx0) & (own_cx < tx1) & (own_cy >= ty0) & (own_cy < ty1)
         if with_unowned:

@@ -16,7 +16,9 @@ plain Ray tasks (functions/exchange.py), with no Ray Data all-to-all:
 
 Untiled input runs the same exchange with whole linework rows and one cell
 per plane.  The ownership rule makes the buffered duplication exactly-once:
-every polygon's centroid lies in exactly one half-open tile rect.
+every polygon's centroid lies in exactly one half-open leaf rect, because
+every rect, window and tile range comes from one grid whose neighbouring
+leaves share bit-identical edges (``stages/linework.SaltedTileAssigner``).
 Correctness contract inherited from the reference (src/tiling.rs): the
 buffer must exceed the radius of the largest polygon; violations are
 detectable as distributed-vs-local mismatches (tests/test_distributed.py).
@@ -55,6 +57,8 @@ from geo_polygonize_ray.local.polygonize import Polygon
 from geo_polygonize_ray.sources.fixtures import linework_table
 from geo_polygonize_ray.stages.linework import (
     SaltedSegmentAssigner,
+    SaltedTileAssigner,
+    _list_bounds,
     add_plane_key,
     explode_linework_to_segments,
     linework_bboxes,
@@ -93,21 +97,17 @@ def segment_tile_counts(t: pa.Table, bbox, tile_size: float, buffer: float) -> p
     The prepass runs it as one task per input slice and sums the results on
     the driver, which holds O(n_tiles), never O(rows).
 
-    Counts are the EXACT buffered-bbox-overlap duplication counts the real
-    assigner will produce (same tile-range formulas as ``TileAssigner``) —
-    i.e. the exchange-bucket row sizes — computed with a 2D difference
-    array (+1/-1 at the range corners, double cumsum), so no row is ever
+    Counts are the EXACT duplication counts the real assigner will produce
+    (the tile ranges come from the same ``SaltedTileAssigner`` grid) — i.e.
+    the exchange-bucket row sizes — computed with a 2D difference array
+    (+1/-1 at the range corners, double cumsum), so no row is ever
     duplicated: O(segments + n_tiles) per table.  For grids beyond ~4M
     cells the accumulator would dominate memory, so we fall back to counting
     only each segment's bbox-CENTER tile (a skew estimator; the 4x
     auto-threshold safety factor absorbs the error).
     """
-    from geo_polygonize_ray.stages.linework import _list_bounds
-
-    minx, miny, maxx, maxy = bbox
-    ts, buf = tile_size, buffer
-    n_cols = max(int(np.ceil((maxx - minx) / ts)), 1)
-    n_rows = max(int(np.ceil((maxy - miny) / ts)), 1)
+    grid = SaltedTileAssigner(bbox, tile_size, buffer)
+    n_cols, n_rows = grid.n_cols, grid.n_rows
     exact = n_rows * n_cols <= 4_000_000
 
     empty = pd.Series([], index=pd.Index([], dtype=np.int64, name="tile_id"), dtype=np.int64)
@@ -128,13 +128,11 @@ def segment_tile_counts(t: pa.Table, bbox, tile_size: float, buffer: float) -> p
     if stride > 1:
         sx0, sx1 = sx0[::stride], sx1[::stride]
         sy0, sy1 = sy0[::stride], sy1[::stride]
-    bminx, bmaxx = np.minimum(sx0, sx1), np.maximum(sx0, sx1)
-    bminy, bmaxy = np.minimum(sy0, sy1), np.maximum(sy0, sy1)
-    # tile ranges — identical formulas to TileAssigner.__call__
-    c0 = np.clip(np.ceil((bminx - buf - minx) / ts - 1.0), 0, n_cols - 1).astype(np.int64)
-    c1 = np.clip(np.floor((bmaxx + buf - minx) / ts), 0, n_cols - 1).astype(np.int64)
-    r0 = np.clip(np.ceil((bminy - buf - miny) / ts - 1.0), 0, n_rows - 1).astype(np.int64)
-    r1 = np.clip(np.floor((bmaxy + buf - miny) / ts), 0, n_rows - 1).astype(np.int64)
+    c0, c1, r0, r1 = grid.tile_ranges(
+        np.minimum(sx0, sx1), np.minimum(sy0, sy1), np.maximum(sx0, sx1), np.maximum(sy0, sy1)
+    )
+    meets = (c0 <= c1) & (r0 <= r1)
+    c0, c1, r0, r1 = c0[meets], c1[meets], r0[meets], r1[meets]
     if exact:
         # corner scatter via bincount on flattened indices — np.add.at is
         # unbuffered and ~20x slower at millions of updates
@@ -146,9 +144,9 @@ def segment_tile_counts(t: pa.Table, bbox, tile_size: float, buffer: float) -> p
             - np.bincount((r1 + 1) * w + c0, minlength=cells)
             + np.bincount((r1 + 1) * w + c1 + 1, minlength=cells)
         ).reshape(n_rows + 1, w)
-        grid = acc.cumsum(axis=0).cumsum(axis=1)[:n_rows, :n_cols]
-        rr, cc = np.nonzero(grid)
-        tid, n = rr * n_cols + cc, grid[rr, cc]
+        per_tile = acc.cumsum(axis=0).cumsum(axis=1)[:n_rows, :n_cols]
+        rr, cc = np.nonzero(per_tile)
+        tid, n = rr * n_cols + cc, per_tile[rr, cc]
     else:
         cmid = (c0 + c1) // 2
         rmid = (r0 + r1) // 2
@@ -158,19 +156,18 @@ def segment_tile_counts(t: pa.Table, bbox, tile_size: float, buffer: float) -> p
     )
 
 
-def compute_hot_tiles(
-    slices: list[Slice], bbox, cfg: PipelineConfig, return_threshold: bool = False
-):
-    """Over-full base tiles -> salt factor k (2..8), from the summed
-    ``segment_tile_counts`` of the input slices (one task per slice, over
-    the same block refs the exchange maps).  ``cfg.salt_threshold``: None =
-    auto threshold from the histogram, >0 = explicit count."""
+def compute_hot_tiles(slices: list[Slice], bbox, cfg: PipelineConfig):
+    """(hot, threshold): over-full base tiles -> salt factor k (2..8), from
+    the summed ``segment_tile_counts`` of the input slices (one task per
+    slice, over the same block refs the exchange maps), and the count
+    threshold they exceed.  ``cfg.salt_threshold``: None = auto threshold
+    from the histogram, >0 = explicit count."""
     parts = map_slices(
         segment_tile_counts, slices, bbox, cfg.tile_size, cfg.tile_buffer
     )
     counts = pd.concat(parts).groupby(level=0).sum()
     if not len(counts):
-        return ({}, 0.0) if return_threshold else {}
+        return {}, 0.0
     if cfg.salt_threshold is not None and cfg.salt_threshold > 0:
         thr = float(cfg.salt_threshold)
     else:
@@ -180,7 +177,7 @@ def compute_hot_tiles(
         if n > thr:
             k = int(np.clip(np.ceil(np.sqrt(n / thr)), 2, 8))
             hot[int(tid)] = k
-    return (hot, thr) if return_threshold else hot
+    return hot, thr
 
 
 def polygonize_table_local(t: pa.Table, cfg: PipelineConfig | None = None) -> pa.Table:
@@ -240,7 +237,6 @@ def polygonize_dataset(
     ds: rd.Dataset,
     cfg: PipelineConfig | None = None,
     bbox: tuple[float, float, float, float] | None = None,
-    hot: dict[int, int] | None = None,
 ) -> rd.Dataset:
     """linework Dataset -> polygons Dataset (POLYGON_SCHEMA, plus plane_key
     when the input has plane_id).
@@ -248,9 +244,7 @@ def polygonize_dataset(
     ``ds``'s lineage executes once: the bbox and salting histogram tasks
     read the same block refs as the exchange's map tasks.  The result is a
     materialized Dataset over the reduce tasks' output tables (one block
-    per reduce task).  ``hot``:
-    precomputed hot-tile salt map; None runs the histogram prepass, ``{}``
-    opts out of salting.
+    per reduce task).  ``cfg.salt_threshold == 0`` turns salting off.
     """
     cfg = cfg or PipelineConfig(node_input=True)
     n_cpus = cluster_cpus()
@@ -273,10 +267,9 @@ def polygonize_dataset(
             bbox = _slices_bbox(slices)
             if not np.all(np.isfinite(bbox)):  # no points at all
                 bbox = (0.0, 0.0, 0.0, 0.0)
-        if hot is None:
-            hot = {}
-            if cfg.salt_threshold is None or cfg.salt_threshold > 0:
-                hot = compute_hot_tiles(slices, bbox, cfg)
+        hot = {}
+        if cfg.salt_threshold is None or cfg.salt_threshold > 0:
+            hot, _ = compute_hot_tiles(slices, bbox, cfg)
         assigner = SaltedSegmentAssigner(bbox, cfg.tile_size, cfg.tile_buffer, hot=hot)
         # bucket of tiles, not raw tile_id: one reduce task per bucket, each
         # still polygonizing its (plane, tile) cells independently

@@ -44,6 +44,7 @@ import ray.data as rd
 from geo_polygonize_ray.functions.agg import shuffle, to_dataset
 from geo_polygonize_ray.functions.sketch import splitmix64
 from geo_polygonize_ray.geom.kernels import pair_points_in_rings
+from geo_polygonize_ray.stages.linework import cell_pairs
 
 # cell key packing: (ix + _OFF) << 32 | (iy + _OFF); valid for |ix|,|iy| < 2^31
 _OFF = np.int64(1 << 31)
@@ -210,22 +211,16 @@ def _pairs_for_candidates(
     return pidx[keep], gcand[keep]
 
 
-def _poly_cell_expansion(batch: pa.Table, cs: float) -> tuple[np.ndarray, np.ndarray]:
-    """(row repeat indices, cell keys) duplicating each polygon to every
-    grid cell its shell bbox touches (closed overlap, same form as
-    TileAssigner: the ceil(x-1) keeps the lower cell on exact edges)."""
-    bminx, bminy, bmaxx, bmaxy = _shell_bboxes(batch)
-    c0 = np.ceil(bminx / cs - 1.0).astype(np.int64)
-    c1 = np.floor(bmaxx / cs).astype(np.int64)
-    r0 = np.ceil(bminy / cs - 1.0).astype(np.int64)
-    r1 = np.floor(bmaxy / cs).astype(np.int64)
-    counts = (c1 - c0 + 1) * (r1 - r0 + 1)
-    total = int(counts.sum())
-    rep = np.repeat(np.arange(batch.num_rows), counts)
-    local = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    width = np.repeat(c1 - c0 + 1, counts)
-    ix = np.repeat(c0, counts) + local % width
-    iy = np.repeat(r0, counts) + local // width
+def _cell_expansion(bminx, bminy, bmaxx, bmaxy, cs: float) -> tuple[np.ndarray, np.ndarray]:
+    """(row repeat indices, cell keys) of every cell of the origin-anchored
+    ``cs`` grid each bbox touches (closed overlap: the ceil(x-1) keeps the
+    lower cell on exact edges)."""
+    rep, ix, iy = cell_pairs(
+        np.ceil(bminx / cs - 1.0).astype(np.int64),
+        np.floor(bmaxx / cs).astype(np.int64),
+        np.ceil(bminy / cs - 1.0).astype(np.int64),
+        np.floor(bmaxy / cs).astype(np.int64),
+    )
     return rep, _cell_key(ix, iy)
 
 
@@ -271,7 +266,7 @@ def spatial_join_points_in_polygons(
     def tag_polygons(batch: pa.Table) -> tuple[pa.Table, np.ndarray]:
         if batch.num_rows == 0:
             return _POLY_SCHEMA.empty_table(), np.zeros(0, np.uint64)
-        rep, cells = _poly_cell_expansion(batch, cs)
+        rep, cells = _cell_expansion(*_shell_bboxes(batch), cs)
         if n_salt > 1:
             rep = np.repeat(rep, n_salt)
             cells = np.repeat(cells, n_salt)
@@ -421,18 +416,7 @@ def spatial_join_broadcast(
         grid_cell = float(max(np.median(diag), 1e-9)) if len(diag) else 1.0
     cs = float(grid_cell)
     # inverted index: cell key -> polygon ids whose bbox touches the cell
-    c0 = np.ceil(fl["shminx"] / cs - 1.0).astype(np.int64)
-    c1 = np.floor(fl["shmaxx"] / cs).astype(np.int64)
-    r0 = np.ceil(fl["shminy"] / cs - 1.0).astype(np.int64)
-    r1 = np.floor(fl["shmaxy"] / cs).astype(np.int64)
-    counts = (c1 - c0 + 1) * (r1 - r0 + 1)
-    total = int(counts.sum())
-    rep = np.repeat(np.arange(len(fl["gids"])), counts)
-    local = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    width = np.repeat(c1 - c0 + 1, counts)
-    cix = np.repeat(c0, counts) + local % width
-    ciy = np.repeat(r0, counts) + local // width
-    keys = _cell_key(cix, ciy)
+    rep, keys = _cell_expansion(fl["shminx"], fl["shminy"], fl["shmaxx"], fl["shmaxy"], cs)
     order = np.argsort(keys, kind="stable")
     fl["idx_keys"] = keys[order]
     fl["idx_polys"] = rep[order]

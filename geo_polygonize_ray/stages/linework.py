@@ -2,6 +2,13 @@
 
 Batch format is zero-copy Arrow throughout; all math is vectorized over the
 flat list buffers (no per-row Python in the hot path).
+
+``SaltedTileAssigner`` is the one tile grid: tile and sub-tile edges, leaf
+rects and buffered windows, the cell range a buffered bbox meets and the
+leaf that owns a point all come from it, and ``cell_pairs`` is the one
+range -> (row, cell) expansion.  The salting histogram
+(``pipelines/polygonize.segment_tile_counts``), the escalation rounds
+(``stages/stitch.py``) and the spatial-join grid call them.
 """
 
 from __future__ import annotations
@@ -64,76 +71,6 @@ def add_plane_key(batch: pa.Table) -> pa.Table:
     return batch.drop_columns(["plane_id"]).append_column("plane_key", pa.array(keys))
 
 
-class TileAssigner:
-    """flat_map each linework row to every buffered tile its bbox intersects
-    (J5, reference src/tiling.rs:66-77: geometry *duplication*, not
-    splitting).  Emits the row once per overlapping tile with a ``tile_id``
-    column; the downstream ``groupby("tile_id")`` is THE shuffle.
-
-    Tile grid (reference src/tiling.rs:37-58): regular ``tile_size`` grid
-    over ``bbox``; ``tile_id = row * n_cols + col``.
-    """
-
-    def __init__(
-        self,
-        bbox: tuple[float, float, float, float],
-        tile_size: float,
-        buffer: float = 0.0,
-    ):
-        self.minx, self.miny, self.maxx, self.maxy = bbox
-        self.tile_size = tile_size
-        self.buffer = buffer
-        self.n_cols = max(int(np.ceil((self.maxx - self.minx) / tile_size)), 1)
-        self.n_rows = max(int(np.ceil((self.maxy - self.miny) / tile_size)), 1)
-
-    def _bboxes(self, batch: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-row bbox used for tile membership (overridden for segments)."""
-        return linework_bboxes(batch)
-
-    def tile_rect(self, tile_id: int) -> tuple[float, float, float, float]:
-        r, c = divmod(tile_id, self.n_cols)
-        x0 = self.minx + c * self.tile_size
-        y0 = self.miny + r * self.tile_size
-        # clamp to global bbox (src/tiling.rs:50-51)
-        return (
-            x0,
-            y0,
-            min(x0 + self.tile_size, self.maxx),
-            min(y0 + self.tile_size, self.maxy),
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return batch.append_column("tile_id", pa.array([], pa.int64()))
-        bminx, bminy, bmaxx, bmaxy = self._bboxes(batch)
-        ts, buf = self.tile_size, self.buffer
-        # tile index ranges whose BUFFERED rect intersects the row bbox
-        # (closed-interval overlap, matching geo::Intersects at tiling.rs:74).
-        # Tile c covers [c*ts, (c+1)*ts]; closed overlap with [lo, hi] means
-        # c in [ceil(lo/ts - 1), floor(hi/ts)] — the ceil(x-1) form keeps the
-        # lower tile when lo lands exactly on a tile boundary (the reference's
-        # exact-boundary ownership test, src/tiling_tests.rs:52-80).
-        lox = (bminx - buf - self.minx) / ts
-        hix = (bmaxx + buf - self.minx) / ts
-        loy = (bminy - buf - self.miny) / ts
-        hiy = (bmaxy + buf - self.miny) / ts
-        c0 = np.clip(np.ceil(lox - 1.0), 0, self.n_cols - 1).astype(np.int64)
-        c1 = np.clip(np.floor(hix), 0, self.n_cols - 1).astype(np.int64)
-        r0 = np.clip(np.ceil(loy - 1.0), 0, self.n_rows - 1).astype(np.int64)
-        r1 = np.clip(np.floor(hiy), 0, self.n_rows - 1).astype(np.int64)
-        counts = (c1 - c0 + 1) * (r1 - r0 + 1)
-        total = int(counts.sum())
-        row_idx = np.repeat(np.arange(n), counts)
-        local = np.arange(total) - np.repeat(np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-        width = np.repeat(c1 - c0 + 1, counts)
-        dc = local % width
-        dr = local // width
-        tile_id = (np.repeat(r0, counts) + dr) * self.n_cols + (np.repeat(c0, counts) + dc)
-        out = batch.take(pa.array(row_idx))
-        return out.append_column("tile_id", pa.array(tile_id, pa.int64()))
-
-
 SEGMENT_COLS = ("x0", "y0", "x1", "y1")
 
 
@@ -168,21 +105,92 @@ def segment_bboxes(batch: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
 # max sub-tiles per salted base tile: k x k with k <= 8 -> 6 bits of sub key
 _SALT_SUBS = 64
+# inner edge indices 1..7 of a base tile split k <= 8 ways
+_INNER = np.arange(1, 8)
 
 
-class SaltedTileAssigner(TileAssigner):
-    """TileAssigner with explicit skew salting (SURVEY.md §4.2, north_rule).
+def cell_pairs(c0, c1, r0, r1):
+    """Expand inclusive per-row cell ranges [c0, c1] x [r0, r1] into
+    (row index, column, grid row) arrays, row-major within each row; an
+    empty range (c1 < c0 or r1 < r0) gives no pairs."""
+    width = np.maximum(c1 - c0 + 1, 0)
+    counts = width * np.maximum(r1 - r0 + 1, 0)
+    rep = np.repeat(np.arange(len(counts)), counts)
+    local = np.arange(len(rep)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rep, c0[rep] + local % width[rep], r0[rep] + local // width[rep]
 
-    Hot base tiles (identified by a cheap count pre-pass) are subdivided
-    into k x k sub-tiles; the shuffle key becomes
-    ``leaf = tile_id * 64 + sub_idx`` so an over-full cell's work fans out
-    across k^2 groups.  Sub-rects partition the base rect exactly, so the
-    centroid-ownership rule stays exactly-once; the buffered-duplication
-    contract (buffer >= max polygon radius) applies per sub-rect.
+
+def _edges(lo: float, hi: float, n: int, step: float) -> np.ndarray:
+    """The n + 1 edges lo + i * step of a grid axis, clamped to hi, the
+    last one hi itself."""
+    e = np.minimum(lo + np.arange(n + 1) * step, hi)
+    e[-1] = hi
+    return e
+
+
+def _split_edges(lo, hi, k, j):
+    """Edge j (0..k) of [lo, hi] cut into k equal parts: lo + j * (hi - lo) / k,
+    with edges 0 and k exactly lo and hi, the edges the neighbours share."""
+    return np.where(j == 0, lo, np.where(j == k, hi, lo + j * ((hi - lo) / k)))
+
+
+def _inner_edges(lo, hi, k):
+    """(m, 7) inner edges 1..7 of each [lo, hi] cut k ways, and the mask of
+    the ones that exist (index < k)."""
+    return _split_edges(lo[:, None], hi[:, None], k[:, None], _INNER), _INNER < k[:, None]
+
+
+def _axis_range(edges: np.ndarray, buf: float, lo, hi):
+    """Inclusive range [i0, i1] of the cells [edges[i], edges[i + 1]], grown
+    by ``buf``, that each [lo, hi] meets (closed overlap)."""
+    return (
+        np.searchsorted(edges[1:] + buf, lo, "left"),
+        np.searchsorted(edges[:-1] - buf, hi, "right") - 1,
+    )
+
+
+def _split_range(inner_edges, inner, buf: float, lo, hi):
+    """``_axis_range`` over each row's k parts (``_inner_edges``), for a
+    [lo, hi] that meets the whole split interval grown by ``buf``."""
+    return (
+        (inner & (inner_edges + buf < lo[:, None])).sum(axis=1),
+        (inner & (inner_edges - buf <= hi[:, None])).sum(axis=1),
+    )
+
+
+class SaltedTileAssigner:
+    """The tile grid, and the flat_map of each row to every leaf whose
+    buffered window its bbox meets (J5, reference src/tiling.rs:66-77:
+    geometry *duplication*, not splitting).  Emits the row once per leaf
+    with a ``tile_id`` column holding the leaf id; the exchange keys on it.
+
+    Grid (reference src/tiling.rs:37-58): a regular ``tile_size`` grid
+    over ``bbox``, ``tile_id = row * n_cols + col``.  Column c spans
+    [xe[c], xe[c + 1]) with xe[c] = minx + c * tile_size and the last edge
+    clamped to maxx; rows likewise.  Skew salting (SURVEY.md §4.2): a hot
+    base tile (salt factor k from a count prepass) is split k x k, with
+    sub-edges x0 + j * (x1 - x0) / k and the last sub-edge the base tile's
+    own edge, so an over-full cell's work fans out across k^2 groups;
+    ``leaf = tile_id * 64 + sub_row * k + sub_col`` (``tile_id * 64`` when
+    cold).
+
+    Every leaf rect, buffered window, cell range and owner lookup derives
+    from these edges, so neighbouring leaves share bit-identical edges and
+    the half-open [min, max) centroid rule gives each polygon to exactly
+    one leaf.  A row goes to a leaf exactly when its bbox meets the leaf's
+    buffered window (closed overlap, geo::Intersects at tiling.rs:74): the
+    window ``assign_and_clip`` clips it to.  The buffered-duplication
+    contract (buffer >= max polygon radius) applies per leaf.
     """
 
     def __init__(self, bbox, tile_size, buffer=0.0, hot: dict[int, int] | None = None):
-        super().__init__(bbox, tile_size, buffer)
+        self.minx, self.miny, self.maxx, self.maxy = bbox
+        self.tile_size = tile_size
+        self.buffer = buffer
+        self.n_cols = max(int(np.ceil((self.maxx - self.minx) / tile_size)), 1)
+        self.n_rows = max(int(np.ceil((self.maxy - self.miny) / tile_size)), 1)
+        self.xe = _edges(self.minx, self.maxx, self.n_cols, tile_size)
+        self.ye = _edges(self.miny, self.maxy, self.n_rows, tile_size)
         self.hot = {int(k): int(v) for k, v in (hot or {}).items()}
         for k, v in self.hot.items():
             if not (2 <= v <= 8):
@@ -190,6 +198,10 @@ class SaltedTileAssigner(TileAssigner):
         # sorted lookup arrays for the vectorized per-row salt-factor path
         self._hot_keys = np.array(sorted(self.hot), dtype=np.int64)
         self._hot_vals = np.array([self.hot[int(k)] for k in self._hot_keys], dtype=np.int64)
+
+    def _bboxes(self, batch: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row bbox used for tile membership (overridden for segments)."""
+        return linework_bboxes(batch)
 
     def _salt_factors(self, tile_ids: np.ndarray) -> np.ndarray:
         """Per-row salt factor k (1 for cold tiles), via searchsorted on the
@@ -200,91 +212,74 @@ class SaltedTileAssigner(TileAssigner):
         p = np.minimum(np.searchsorted(self._hot_keys, tids), len(self._hot_keys) - 1)
         return np.where(self._hot_keys[p] == tids, self._hot_vals[p], 1)
 
-    def leaf_rect(self, leaf_id: int) -> tuple[float, float, float, float]:
-        base, sub = divmod(int(leaf_id), _SALT_SUBS)
-        x0, y0, x1, y1 = self.tile_rect(base)
-        k = self.hot.get(base, 1)
-        if k == 1:
-            return x0, y0, x1, y1
-        r, c = divmod(sub, k)
-        w = (x1 - x0) / k
-        h = (y1 - y0) / k
-        return (x0 + c * w, y0 + r * h, x0 + (c + 1) * w, y0 + (r + 1) * h)
-
     def leaf_rects(
         self, leaf_ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized leaf_rect over an int64 array (same math, incl. the
-        global-bbox clamp and hot-tile k x k subdivision)."""
-        leaf = np.asarray(leaf_ids, dtype=np.int64)
-        base, sub = np.divmod(leaf, _SALT_SUBS)
+        """(x0, y0, x1, y1) owner rects of an int64 array of leaf ids."""
+        base, sub = np.divmod(np.asarray(leaf_ids, dtype=np.int64), _SALT_SUBS)
         r, c = np.divmod(base, self.n_cols)
-        x0 = self.minx + c * self.tile_size
-        y0 = self.miny + r * self.tile_size
-        x1 = np.minimum(x0 + self.tile_size, self.maxx)
-        y1 = np.minimum(y0 + self.tile_size, self.maxy)
-        if self.hot:
-            k = self._salt_factors(base)
-            rr, cc = np.divmod(sub, k)
-            w = (x1 - x0) / k
-            h = (y1 - y0) / k
-            x0 = x0 + cc * w
-            y0 = y0 + rr * h
-            x1 = x0 + w
-            y1 = y0 + h
+        x0, y0, x1, y1 = self.xe[c], self.ye[r], self.xe[c + 1], self.ye[r + 1]
+        k = self._salt_factors(base)
+        h = np.flatnonzero(k > 1)
+        if len(h):
+            kh, (sr, sc) = k[h], np.divmod(sub[h], k[h])
+            x0[h], x1[h] = _split_edges(x0[h], x1[h], kh, sc), _split_edges(x0[h], x1[h], kh, sc + 1)
+            y0[h], y1[h] = _split_edges(y0[h], y1[h], kh, sr), _split_edges(y0[h], y1[h], kh, sr + 1)
         return x0, y0, x1, y1
 
+    def leaf_rect(self, leaf_id: int) -> tuple[float, float, float, float]:
+        return tuple(float(v[0]) for v in self.leaf_rects(np.array([leaf_id])))
+
+    def leaf_windows(self, leaf_ids: np.ndarray, buf=None):
+        """The leaves' rects grown by ``buf`` (scalar or per leaf; default
+        this assigner's buffer): the windows rows are assigned and clipped
+        to."""
+        buf = self.buffer if buf is None else buf
+        x0, y0, x1, y1 = self.leaf_rects(leaf_ids)
+        return x0 - buf, y0 - buf, x1 + buf, y1 + buf
+
+    def tile_ranges(self, bminx, bminy, bmaxx, bmaxy):
+        """Inclusive base-tile ranges (c0, c1, r0, r1) whose buffered windows
+        each bbox meets; c1 < c0 or r1 < r0 when it meets none."""
+        return (
+            *_axis_range(self.xe, self.buffer, bminx, bmaxx),
+            *_axis_range(self.ye, self.buffer, bminy, bmaxy),
+        )
+
+    def owner_leaves(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The leaf whose half-open rect holds each point (a point outside
+        the bbox goes to the nearest edge tile)."""
+        c = np.clip(np.searchsorted(self.xe, x, "right") - 1, 0, self.n_cols - 1)
+        r = np.clip(np.searchsorted(self.ye, y, "right") - 1, 0, self.n_rows - 1)
+        base = r * self.n_cols + c
+        k = self._salt_factors(base)
+        ex, inner = _inner_edges(self.xe[c], self.xe[c + 1], k)
+        ey, _ = _inner_edges(self.ye[r], self.ye[r + 1], k)
+        sc = (inner & (ex <= np.asarray(x)[:, None])).sum(axis=1)
+        sr = (inner & (ey <= np.asarray(y)[:, None])).sum(axis=1)
+        return base * _SALT_SUBS + sr * k + sc
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        base = super().__call__(batch)
-        tid_idx = base.schema.get_field_index("tile_id")
-        if not self.hot or base.num_rows == 0:
-            if base.num_rows:
-                leaf = base["tile_id"].to_numpy() * _SALT_SUBS
-            else:
-                leaf = np.empty(0, dtype=np.int64)
-            return base.set_column(tid_idx, "tile_id", pa.array(leaf.astype(np.int64)))
-        tids = base["tile_id"].to_numpy()
-        kfac = self._salt_factors(tids)
-        cold = np.flatnonzero(kfac == 1)
-        out_parts = []
-        if len(cold):
-            t = base.take(pa.array(cold))
-            leaf = tids[cold] * _SALT_SUBS
-            out_parts.append(t.set_column(tid_idx, "tile_id", pa.array(leaf)))
-        hot_rows = np.flatnonzero(kfac > 1)
-        if len(hot_rows):
-            # fully vectorized: per-row salt factor + per-row base-tile rect,
-            # one repeat/offset expansion for every hot row regardless of k
-            t = base.take(pa.array(hot_rows))
-            bminx, bminy, bmaxx, bmaxy = self._bboxes(t)
-            htids = tids[hot_rows]
-            hk = kfac[hot_rows]
-            r, c = np.divmod(htids, self.n_cols)
-            tx0 = self.minx + c * self.tile_size
-            ty0 = self.miny + r * self.tile_size
-            tx1 = np.minimum(tx0 + self.tile_size, self.maxx)
-            ty1 = np.minimum(ty0 + self.tile_size, self.maxy)
-            w = (tx1 - tx0) / hk
-            h = (ty1 - ty0) / hk
-            buf = self.buffer
-            c0 = np.clip(np.ceil((bminx - buf - tx0) / w - 1.0), 0, hk - 1).astype(np.int64)
-            c1 = np.clip(np.floor((bmaxx + buf - tx0) / w), 0, hk - 1).astype(np.int64)
-            r0 = np.clip(np.ceil((bminy - buf - ty0) / h - 1.0), 0, hk - 1).astype(np.int64)
-            r1 = np.clip(np.floor((bmaxy + buf - ty0) / h), 0, hk - 1).astype(np.int64)
-            counts = (c1 - c0 + 1) * (r1 - r0 + 1)
-            total = int(counts.sum())
-            rr = np.repeat(np.arange(len(hot_rows)), counts)
-            local = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-            width = np.repeat(c1 - c0 + 1, counts)
-            dc = local % width
-            dr = local // width
-            sub = (np.repeat(r0, counts) + dr) * np.repeat(hk, counts) + (
-                np.repeat(c0, counts) + dc
+        bminx, bminy, bmaxx, bmaxy = self._bboxes(batch)
+        rep, c, r = cell_pairs(*self.tile_ranges(bminx, bminy, bmaxx, bmaxy))
+        base = r * self.n_cols + c
+        leaf = base * _SALT_SUBS
+        k = self._salt_factors(base)
+        hot = np.flatnonzero(k > 1)
+        if len(hot):
+            # a hot copy meets its base tile's window, so it meets at least
+            # one sub-window: expand it over the sub-cell ranges it meets
+            rh, ch, rr, kh = rep[hot], c[hot], r[hot], k[hot]
+            ex, inner = _inner_edges(self.xe[ch], self.xe[ch + 1], kh)
+            ey, _ = _inner_edges(self.ye[rr], self.ye[rr + 1], kh)
+            sub, sc, sr = cell_pairs(
+                *_split_range(ex, inner, self.buffer, bminx[rh], bmaxx[rh]),
+                *_split_range(ey, inner, self.buffer, bminy[rh], bmaxy[rh]),
             )
-            lf = htids[rr] * _SALT_SUBS + sub
-            t2 = t.take(pa.array(rr))
-            out_parts.append(t2.set_column(tid_idx, "tile_id", pa.array(lf.astype(np.int64))))
-        return pa.concat_tables(out_parts) if out_parts else base.slice(0, 0)
+            cold = k == 1
+            rep = np.concatenate([rep[cold], rh[sub]])
+            leaf = np.concatenate([leaf[cold], leaf[hot][sub] + sr * kh[sub] + sc])
+        return batch.take(pa.array(rep)).append_column("tile_id", pa.array(leaf, pa.int64()))
 
 
 class SaltedSegmentAssigner(SaltedTileAssigner):
@@ -309,14 +304,12 @@ class SaltedSegmentAssigner(SaltedTileAssigner):
         if t.num_rows == 0:
             return pa.table(empty_cols)
         tid = t["tile_id"].to_numpy()
-        lx0, ly0, lx1, ly1 = self.leaf_rects(tid)
-        buf = self.buffer
         cx0, cy0, cx1, cy1, keep = clip_segments_to_rect(
             t["x0"].to_numpy(),
             t["y0"].to_numpy(),
             t["x1"].to_numpy(),
             t["y1"].to_numpy(),
-            (lx0 - buf, ly0 - buf, lx1 + buf, ly1 + buf),
+            self.leaf_windows(tid),
             return_mask=True,
         )
         cols = {

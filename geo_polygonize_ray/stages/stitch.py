@@ -41,8 +41,14 @@ can be incomplete:
 Exactly-once: each tile's final contribution comes from the LAST round it
 ran (a re-run's window is a superset, so its owned trusted output is a
 superset of the earlier one); ownership rects are fixed and disjoint.  The
-last permitted round forces the buffer to cover the whole bbox, so every
-still-active tile finishes globally exact.
+half-open [min, max) centroid rule is exactly-once only because
+neighbouring tiles share their edges bit for bit (every owner rect, window,
+tile range and witness owner comes from the one ``SaltedTileAssigner``
+grid, whose tile c spans [minx + c * tile_size, minx + (c + 1) *
+tile_size)) and agree on each centroid bit for bit (the shell's centroid
+is summed over its own ring only, ``kernels.ring_centroid_isolated``).  The
+last permitted round forces the buffer to cover the whole
+bbox, so every still-active tile finishes globally exact.
 """
 
 from __future__ import annotations
@@ -115,29 +121,10 @@ class EscalatingTilePolygonizer:
             out.append(t)
         return pa.concat_tables(out) if out else empty
 
-    # -- leaf-grid helpers (vectorized; hot={} so leaf = base_tile * 64) ----
-
-    def _owner_leaf(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        a = self.assigner
-        c = np.clip(np.floor((cx - a.minx) / a.tile_size), 0, a.n_cols - 1).astype(np.int64)
-        r = np.clip(np.floor((cy - a.miny) / a.tile_size), 0, a.n_rows - 1).astype(np.int64)
-        return (r * a.n_cols + c) * _SALT_SUBS
-
-    def _leaf_windows(self, leaf: np.ndarray, buf: float) -> np.ndarray:
-        """(m, 4) [wx0, wy0, wx1, wy1] buffered windows of base-tile leaves."""
-        a = self.assigner
-        base = leaf // _SALT_SUBS
-        r, c = base // a.n_cols, base % a.n_cols
-        x0 = a.minx + c * a.tile_size
-        y0 = a.miny + r * a.tile_size
-        x1 = np.minimum(x0 + a.tile_size, a.maxx)
-        y1 = np.minimum(y0 + a.tile_size, a.maxy)
-        return np.stack([x0 - buf, y0 - buf, x1 + buf, y1 + buf], axis=1)
-
     def _tile(self, segs: tuple[np.ndarray, ...], tile_id: int) -> pa.Table:
         ax0, ay0, ax1, ay1 = self.assigner.leaf_rect(tile_id)
         buf = self.assigner.buffer
-        wx0, wy0, wx1, wy1 = ax0 - buf, ay0 - buf, ax1 + buf, ay1 + buf
+        window = (ax0 - buf, ay0 - buf, ax1 + buf, ay1 + buf)
 
         # polygonize_soup's phases, with the pruned-vertex mask read between
         # dangle pruning and ring tracing
@@ -165,14 +152,7 @@ class EscalatingTilePolygonizer:
         n = t.num_rows
 
         # trust check: every owned polygon's shell strictly inside the window
-        ob = flat["owned_bbox"]
-        trusted = True
-        if n:
-            inside = (
-                (ob[:, 0] > wx0) & (ob[:, 2] < wx1) & (ob[:, 1] > wy0) & (ob[:, 3] < wy1)
-            )
-            trusted = bool(inside.all())
-        resolved = trusted and not cut_risk
+        resolved = bool(_inside(flat["owned_bbox"], window).all()) and not cut_risk
 
         parts: list[pa.Table] = []
         if n == 0 and not resolved:
@@ -185,17 +165,9 @@ class EscalatingTilePolygonizer:
         # centroid-routed witnesses for unowned shells
         ub = flat["unowned_bbox"]
         if len(ub):
-            u_trust = (
-                (ub[:, 0] > wx0) & (ub[:, 2] < wx1) & (ub[:, 1] > wy0) & (ub[:, 3] < wy1)
-            )
-            owner = self._owner_leaf(flat["unowned_cx"], flat["unowned_cy"])
-            ow = self._leaf_windows(owner, self.base_buffer)
-            covered_r0 = (
-                (ub[:, 0] > ow[:, 0])
-                & (ub[:, 1] > ow[:, 1])
-                & (ub[:, 2] < ow[:, 2])
-                & (ub[:, 3] < ow[:, 3])
-            )
+            u_trust = _inside(ub, window)
+            owner = self.assigner.owner_leaves(flat["unowned_cx"], flat["unowned_cy"])
+            covered_r0 = _inside(ub, self.assigner.leaf_windows(owner, self.base_buffer))
             emit = np.flatnonzero(~(u_trust & covered_r0) & (owner != tile_id))
             if len(emit):
                 parts.append(_witness_table(owner[emit], ub[emit], u_trust[emit]))
@@ -248,38 +220,43 @@ def _keep_polys(t: pa.Table) -> pa.Table:
     return t.filter(pc.greater_equal(t["poly_id"], 0)).drop_columns(["resolved"])
 
 
-def _bbox_in_window(bbox: tuple[float, float, float, float], w) -> bool:
-    return bbox[0] > w[0] and bbox[1] > w[1] and bbox[2] < w[2] and bbox[3] < w[3]
+def _inside(bbox: np.ndarray, w) -> np.ndarray:
+    """Which (m, 4) [minx, miny, maxx, maxy] boxes lie strictly inside the
+    windows (wx0, wy0, wx1, wy1), one window or one per box."""
+    return (bbox[:, 0] > w[0]) & (bbox[:, 1] > w[1]) & (bbox[:, 2] < w[2]) & (bbox[:, 3] < w[3])
 
 
-def _prefilter(t: pa.Table, windows) -> pa.Table:
-    """Rows whose bbox meets at least one of the (wx0, wy0, wx1, wy1) windows."""
-    if windows is None or t.num_rows == 0:
+def _prefilter(t: pa.Table, assigner: SaltedTileAssigner, keep) -> pa.Table:
+    """Rows whose bbox meets the buffered window of at least one of the
+    (unsalted) leaves ``keep``; every row when ``keep`` is None.  Each row's
+    tile range is tested against a 2-D prefix sum of the kept-tile mask:
+    O(rows + tiles)."""
+    if keep is None or t.num_rows == 0:
         return t
-    wx0, wy0, wx1, wy1 = windows
-    bminx, bminy, bmaxx, bmaxy = linework_bboxes(t)
-    hit = (
-        (bminx[:, None] <= wx1)
-        & (bmaxx[:, None] >= wx0)
-        & (bminy[:, None] <= wy1)
-        & (bmaxy[:, None] >= wy0)
-    ).any(axis=1)
-    return t.filter(pa.array(hit))
+    c0, c1, r0, r1 = assigner.tile_ranges(*linework_bboxes(t))
+    kept = np.zeros((assigner.n_rows + 1, assigner.n_cols + 1), dtype=np.int64)
+    r, c = np.divmod(keep // _SALT_SUBS, assigner.n_cols)
+    kept[r + 1, c + 1] = 1
+    s = kept.cumsum(axis=0).cumsum(axis=1)
+    # an empty range has c0 <= n_cols and c1 >= -1 (r likewise): the
+    # lookups stay in bounds and the mask below drops it
+    n = s[r1 + 1, c1 + 1] - s[r0, c1 + 1] - s[r1 + 1, c0] + s[r0, c0]
+    return t.filter(pa.array((c0 <= c1) & (r0 <= r1) & (n > 0)))
 
 
-def _prefiltered_rows(t: pa.Table, windows) -> int:
-    return _prefilter(t, windows).num_rows
+def _prefiltered_rows(t: pa.Table, assigner: SaltedTileAssigner, keep) -> int:
+    return _prefilter(t, assigner, keep).num_rows
 
 
-def _round_map(cols, assigner, windows, keep, n_buckets, t: pa.Table):
-    """Exchange map side of one round: whole linework rows near the active
-    windows, duplicated to every buffered tile they meet, restricted to the
-    active tiles (``keep``, sorted; None in round 0).
+def _round_map(cols, assigner, keep, n_buckets, t: pa.Table):
+    """Exchange map side of one round: whole linework rows that meet an
+    active tile's window, duplicated to every buffered tile they meet,
+    restricted to the active tiles (``keep``, sorted; None in round 0).
 
     A tile's bucket is its rank in the round's tile list modulo
     ``n_buckets`` (in round 0 every tile runs, and leaf = tile * 64), so a
     round with no more tiles than reduce tasks runs one tile per task."""
-    t = assigner(_prefilter(add_plane_key(t.select(cols)), windows))
+    t = assigner(_prefilter(add_plane_key(t.select(cols)), assigner, keep))
     if keep is None:
         return t, t["tile_id"].to_numpy() // _SALT_SUBS % n_buckets
     t = t.filter(pa.array(np.isin(t["tile_id"].to_numpy(), keep)))
@@ -361,15 +338,12 @@ def polygonize_dataset_adaptive(
     buffer0 = max(cfg.tile_buffer, cfg.tile_size / 2.0)
 
     active: set[int] | None = None  # None = all tiles in round 0
-    ran_buf: dict[int, float] = {}  # tile -> buffer of its LAST run (absent => buffer0)
-    pending: dict[int, set[tuple]] = {}  # tile -> witness bboxes not yet covered
     rounds: list[tuple[list, set[int] | None]] = []  # (reduce refs, tiles ran)
-
-    geom = SaltedTileAssigner(bbox, cfg.tile_size, 0.0, hot={})
-
-    def _window_of(tile: int, buf: float) -> tuple[float, float, float, float]:
-        x0, y0, x1, y1 = geom.leaf_rect(tile)
-        return (x0 - buf, y0 - buf, x1 + buf, y1 + buf)
+    geom = SaltedTileAssigner(bbox, cfg.tile_size)
+    # per base tile, the buffer of its LAST run (every tile runs in round 0)
+    last_buf = np.full(geom.n_cols * geom.n_rows, buffer0)
+    # witnesses not yet covered: owner leaf, bbox (minx, miny, maxx, maxy)
+    wit_tile, wit_box = np.empty(0, dtype=np.int64), np.empty((0, 4))
 
     # max_rounds bounds the geometric escalation; a few extra "delivery"
     # rounds at the global buffer hand globally-traced faces to their
@@ -383,16 +357,9 @@ def polygonize_dataset_adaptive(
         final_round = buf >= span
         assigner = SaltedTileAssigner(bbox, cfg.tile_size, buf, hot={})
 
-        # rounds 1+: keep only the active tiles, and pre-filter the input to
-        # rows whose bbox intersects an active tile's buffered window BEFORE
-        # assignment.  The pre-filter is skipped when nearly everything is
-        # active (the rows x windows test would cost more than it saves).
-        keep = windows = None
-        if active is not None:
-            keep = np.array(sorted(active), dtype=np.int64)
-            if len(keep) <= 4096:
-                wx0, wy0, wx1, wy1 = assigner.leaf_rects(keep)
-                windows = (wx0 - buf, wy0 - buf, wx1 + buf, wy1 + buf)
+        # rounds 1+: keep only the active tiles; the map side pre-filters
+        # its rows to those meeting an active tile's window before assignment
+        keep = None if active is None else np.array(sorted(active), dtype=np.int64)
 
         if _round_input_counts is not None:
             # test-only observability (costs an extra pass over the slices):
@@ -401,23 +368,20 @@ def polygonize_dataset_adaptive(
             # exactness guarantee and any delivery rounds) necessarily scan
             # the full input; scan locality applies to the other rounds.
             rows = n_rows
-            if windows is not None:
-                rows = sum(map_slices(_prefiltered_rows, slices, windows))
+            if keep is not None:
+                rows = sum(map_slices(_prefiltered_rows, slices, assigner, keep))
             _round_input_counts.append((rows, bool(final_round)))
 
-        n_tiles = geom.n_cols * geom.n_rows if keep is None else len(keep)
+        n_tiles = len(last_buf) if keep is None else len(keep)
         n_buckets = max(2, min(n_tiles, 4 * n_cpus))
         tracer = EscalatingTilePolygonizer(
             assigner, cfg.snap_grid_size, cfg.max_noding_iters, base_buffer=buffer0
         )
-        map_fn = functools.partial(_round_map, cols, assigner, windows, keep, n_buckets)
+        map_fn = functools.partial(_round_map, cols, assigner, keep, n_buckets)
         refs, _ = exchange([(slices, map_fn)], n_buckets, tracer)
         rounds.append((refs, active))
-
-        # record this round's runs (round 0 runs every tile implicitly)
-        if active is not None:
-            for t_id in active:
-                ran_buf[t_id] = buf
+        if keep is not None:
+            last_buf[keep // _SALT_SUBS] = buf
 
         verdicts = ray.get([_verdicts_task.remote(ref) for ref in refs])
         # a global-window run is exact by construction; verdicts (e.g.
@@ -427,26 +391,18 @@ def polygonize_dataset_adaptive(
             unresolved = set(np.concatenate([u for u, _ in verdicts]).tolist())
 
         wit = pa.concat_tables([w for _, w in verdicts])
-        for c, xs, ys in zip(
-            wit["tile_id"].to_pylist(), wit["shell_xs"].to_pylist(), wit["shell_ys"].to_pylist()
-        ):
-            bb = (xs[0], ys[0], xs[1], ys[1])
-            # suppress if C's last-run window strictly contains the bbox:
-            # C then provably held ALL linework in that region and judged
-            # it with its own (strictly stronger) evidence
-            if _bbox_in_window(bb, _window_of(c, ran_buf.get(c, buffer0))):
-                continue
-            pending.setdefault(c, set()).add(bb)
+        xs = pc.list_flatten(wit["shell_xs"]).to_numpy().reshape(-1, 2)
+        ys = pc.list_flatten(wit["shell_ys"]).to_numpy().reshape(-1, 2)
+        wit_tile = np.concatenate([wit_tile, wit["tile_id"].to_numpy()])
+        wit_box = np.concatenate([wit_box, np.column_stack([xs[:, 0], ys[:, 0], xs[:, 1], ys[:, 1]])])
+        # a witness is covered once its owner's last-run window strictly
+        # contains its bbox: the owner then provably held ALL linework in
+        # that region and judged it with its own (strictly stronger) evidence
+        last = last_buf[wit_tile // _SALT_SUBS]
+        open_ = ~_inside(wit_box, geom.leaf_windows(wit_tile, last))
+        wit_tile, wit_box = wit_tile[open_], wit_box[open_]
 
-        # clear pending witnesses now covered by this round's runs
-        for t_id in list(pending):
-            if active is None or t_id in active:
-                w = _window_of(t_id, ran_buf.get(t_id, buffer0))
-                pending[t_id] = {bb for bb in pending[t_id] if not _bbox_in_window(bb, w)}
-                if not pending[t_id]:
-                    del pending[t_id]
-
-        active = unresolved | set(pending)
+        active = unresolved | set(wit_tile.tolist())
         if not active:
             break
 

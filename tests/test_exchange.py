@@ -17,7 +17,7 @@ import ray
 import ray.data as rd
 
 from geo_polygonize_ray.config import PipelineConfig
-from geo_polygonize_ray.functions.exchange import dataset_slices, exchange, row_ranges
+from geo_polygonize_ray.functions.exchange import dataset_slices, exchange, row_ranges, slice_table
 from geo_polygonize_ray.pipelines.polygonize import (
     _exchange_bucket,
     polygonize_dataset,
@@ -259,3 +259,19 @@ def test_in_memory_input_slices(n_blocks):
     assert schema == t.schema and total == 1000
     got = pa.concat_tables(ray.get(ref).slice(lo, n) for ref, lo, n in slices)
     assert got.equals(t)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_pandas_input_schema():
+    """Pandas blocks carry no Arrow schema: it is read from the first
+    block in a task, and equals the Arrow conversion of the frame."""
+    import pandas as pd
+
+    df = pd.DataFrame(
+        {"a": np.arange(10, dtype=np.int64), "s": [str(i) for i in range(10)], "f": np.linspace(0, 1, 10)}
+    )
+    slices, schema, total = dataset_slices(rd.from_pandas(df), 4)
+    assert schema.equals(pa.Schema.from_pandas(df, preserve_index=False), check_metadata=True)
+    assert total == 10
+    got = pa.concat_tables(slice_table(ray.get(ref), lo, n) for ref, lo, n in slices)
+    assert got.to_pandas().equals(df)

@@ -149,6 +149,102 @@ class TestDistributedEquivalenceFuzz:
 
 
 # ---------------------------------------------------------------------------
+# metamorphic: polygons whose centroids sit exactly on tile edges
+# ---------------------------------------------------------------------------
+
+EDGE_ORIGIN = -3.3
+
+
+def _edge_values(ts, k):
+    """Every k-way sub-tile edge of tiles 1..6 of the ``ts`` grid at
+    EDGE_ORIGIN (k = 1: the tile edges), each written two ways that differ
+    by an ulp for many edges of a non-dyadic grid: x0 + j*w, and the edge
+    before it plus w."""
+    out = []
+    for c in range(1, 7):
+        x0, x1 = EDGE_ORIGIN + c * ts, EDGE_ORIGIN + (c + 1) * ts
+        w = (x1 - x0) / k
+        out += [x0, (EDGE_ORIGIN + (c - 1) * ts) + ts]
+        out += [v for j in range(1, k) for v in (x0 + j * w, (x0 + (j - 1) * w) + w)]
+    return out
+
+
+def _on_edge_squares(ts, k):
+    """Disjoint squares [p - h, p + h]^2 down the diagonal, one for each edge
+    value p that some h = m * ts / 64 (m = 1..32) puts the shell centroid
+    the local polygonizer computes exactly on: centroid (p, p)."""
+    from geo_polygonize_ray.pipelines.polygonize import polygonize_table_local
+    from geo_polygonize_ray.sources.fixtures import linework_table
+
+    squares, right = [], -np.inf
+    for p in sorted(set(_edge_values(ts, k))):
+        if p - ts / 2 <= right:
+            continue
+        for m in range(1, 33):
+            a, b = p - m * ts / 64, p + m * ts / 64
+            sq = np.array([[a, a], [b, a], [b, b], [a, b], [a, a]])
+            t = polygonize_table_local(linework_table([sq]))
+            if (t["cx"][0].as_py(), t["cy"][0].as_py()) == (p, p):
+                squares.append(sq)
+                right = b
+                break
+    return squares
+
+
+def _count_area(areas):
+    return len(areas), float(np.sum(areas))
+
+
+def _assert_same_count_area(got, want):
+    assert got[0] == want[0]
+    # a lost or doubled square moves the sum by over 1e-3 of it
+    assert np.isclose(got[1], want[1], rtol=1e-9, atol=0)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("ts", [0.1, 0.3, 0.7, 1.1])
+def test_centroids_on_tile_edges(ts):
+    """Squares centred exactly on tile and sub-tile edges of a non-dyadic
+    grid: the tiled run (unsalted, and salted k x k in every tile for k =
+    3, 5, 7), the adaptive run and the local run give the same polygon
+    count and area sum.  A polygon whose centroid falls between two
+    neighbours' owner rects is lost by every tiled path."""
+    import ray.data as rd
+
+    from geo_polygonize_ray.config import PipelineConfig
+    from geo_polygonize_ray.pipelines.polygonize import polygonize_dataset
+    from geo_polygonize_ray.sources.fixtures import linework_table
+    from geo_polygonize_ray.stages.linework import (
+        SaltedSegmentAssigner,
+        add_plane_key,
+        explode_linework_to_segments,
+    )
+    from geo_polygonize_ray.stages.stitch import polygonize_dataset_adaptive
+    from geo_polygonize_ray.stages.trace import TilePolygonizer
+
+    o = EDGE_ORIGIN
+    bbox = (o, o, o + 8 * ts, o + 8 * ts)
+    for k in (1, 3, 5, 7):
+        lines = _on_edge_squares(ts, k)
+        assert len(lines) >= 3, (ts, k, len(lines))
+        local = _count_area([p.area for p in polygonize_lines(lines, node_input=True)])
+        assert local[0] == len(lines)
+        # the tiled map and reduce functions in process, with every tile
+        # salted k x k (k = 1: unsalted)
+        hot = {t: k for t in range(64)} if k > 1 else {}
+        assigner = SaltedSegmentAssigner(bbox, ts, ts, hot=hot)
+        segs = explode_linework_to_segments(add_plane_key(linework_table(lines)))
+        tiled = TilePolygonizer(assigner)(assigner.assign_and_clip(segs))
+        _assert_same_count_area(_count_area(tiled["area"].to_numpy()), local)
+        if k > 1:
+            continue
+        cfg = PipelineConfig(tile_size=ts, tile_buffer=ts, salt_threshold=0)
+        for run in (polygonize_dataset, polygonize_dataset_adaptive):
+            out = run(rd.from_arrow(linework_table(lines)), cfg, bbox).to_pandas()
+            _assert_same_count_area(_count_area(out["area"].to_numpy()), local)
+
+
+# ---------------------------------------------------------------------------
 # engine-function properties: packing + exact quantiles
 # ---------------------------------------------------------------------------
 

@@ -83,6 +83,26 @@ class TestCentroid:
             assert cx[i] == pytest.approx(scx)
             assert cy[i] == pytest.approx(scy)
 
+    def test_isolated_centroid_ignores_neighbour_rings(self):
+        """A ring's ``ring_centroid_isolated`` has the same bits whatever
+        rings are stored before it (a tile and its neighbour trace the same
+        ring beside different rings), and is the ring's centroid."""
+        rng = np.random.default_rng(7)
+        rings = []
+        for _ in range(40):
+            n = rng.integers(3, 9)
+            pts = rng.uniform(-1e3, 1e3, 2) + rng.uniform(0, 3, (n, 2))
+            rings.append(np.vstack([pts, pts[:1]]))
+        fx = np.concatenate([r[:, 0] for r in rings])
+        fy = np.concatenate([r[:, 1] for r in rings])
+        offs = np.concatenate([[0], np.cumsum([len(r) for r in rings])])
+        cx, cy = K.ring_centroid_isolated(fx, fy, offs)
+        for i, r in enumerate(rings):
+            ax, ay = K.ring_centroid_isolated(r[:, 0], r[:, 1], np.array([0, len(r)]))
+            assert (cx[i], cy[i]) == (ax[0], ay[0])
+            scx, scy = K.ring_centroid(r[:, 0], r[:, 1])
+            assert cx[i] == pytest.approx(scx) and cy[i] == pytest.approx(scy)
+
 
 class TestQuadrant:
     def test_reference_boundaries(self):

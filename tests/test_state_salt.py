@@ -76,7 +76,7 @@ class TestSalting:
         cfg = PipelineConfig(tile_size=10.0, tile_buffer=1.0)  # default: auto
         ds = rd.from_arrow(linework_table(lines)).select_columns(["xs", "ys"])
         slices, _, _ = dataset_slices(ds, 4)
-        hot, thr = compute_hot_tiles(slices, bbox, cfg, return_threshold=True)
+        hot, thr = compute_hot_tiles(slices, bbox, cfg)
         assert hot, "clustered soup must trigger auto salting"
         assert all(2 <= k <= 8 for k in hot.values())
 
@@ -142,8 +142,9 @@ class TestSalting:
         """Round-3 judge item #1: the fully-vectorized salted hot-tile
         assignment (searchsorted salt factors + one repeat/offset expansion)
         must be BYTE-IDENTICAL, as a multiset of (segment, leaf) rows, to an
-        independent per-row scalar walk of the same membership rules on the
-        skew fixture — including mixed salt factors and clip geometry."""
+        independent per-row scalar walk of the membership rule on the skew
+        fixture — including mixed salt factors: a row goes to every leaf
+        whose buffered rect its bbox meets (closed overlap)."""
         import math
 
         import numpy as np
@@ -165,40 +166,46 @@ class TestSalting:
         a = SaltedSegmentAssigner(bbox, ts, buf, hot=hot)
         got = a(segs)
 
-        # independent scalar reference (per-row Python, closed-interval
-        # overlap with the same ceil(x-1)/floor forms)
+        # independent scalar reference (per-row Python over every leaf).
+        # Tile c spans [minx + c*ts, minx + (c+1)*ts], its last edge clamped
+        # to maxx; sub-tile j of a k-salted tile [x0, x1] spans
+        # [x0 + j*w, x0 + (j+1)*w] with w = (x1 - x0)/k, its last edge x1.
         n_cols = max(int(math.ceil((bbox[2] - bbox[0]) / ts)), 1)
         n_rows = max(int(math.ceil((bbox[3] - bbox[1]) / ts)), 1)
-        x0s = segs["x0"].to_numpy()
-        y0s = segs["y0"].to_numpy()
-        x1s = segs["x1"].to_numpy()
-        y1s = segs["y1"].to_numpy()
+
+        def edge(lo, hi, n, i):
+            return hi if i == n else min(lo + i * ts, hi)
+
+        def sub_edge(lo, hi, k, j):
+            return lo if j == 0 else hi if j == k else lo + j * ((hi - lo) / k)
+
+        leaves = []
+        for r in range(n_rows):
+            for c in range(n_cols):
+                tid = r * n_cols + c
+                tx0, tx1 = edge(bbox[0], bbox[2], n_cols, c), edge(bbox[0], bbox[2], n_cols, c + 1)
+                ty0, ty1 = edge(bbox[1], bbox[3], n_rows, r), edge(bbox[1], bbox[3], n_rows, r + 1)
+                k = hot.get(tid, 1)
+                for sr in range(k):
+                    for sc in range(k):
+                        leaves.append((
+                            tid * _SALT_SUBS + sr * k + sc,
+                            sub_edge(tx0, tx1, k, sc) - buf,
+                            sub_edge(ty0, ty1, k, sr) - buf,
+                            sub_edge(tx0, tx1, k, sc + 1) + buf,
+                            sub_edge(ty0, ty1, k, sr + 1) + buf,
+                        ))
+        x0s = segs["x0"].to_numpy().tolist()
+        y0s = segs["y0"].to_numpy().tolist()
+        x1s = segs["x1"].to_numpy().tolist()
+        y1s = segs["y1"].to_numpy().tolist()
         expect = []
         for i in range(segs.num_rows):
             lo_x, hi_x = min(x0s[i], x1s[i]), max(x0s[i], x1s[i])
             lo_y, hi_y = min(y0s[i], y1s[i]), max(y0s[i], y1s[i])
-            c_lo = max(int(math.ceil((lo_x - buf - bbox[0]) / ts - 1.0)), 0)
-            c_hi = min(int(math.floor((hi_x + buf - bbox[0]) / ts)), n_cols - 1)
-            r_lo = max(int(math.ceil((lo_y - buf - bbox[1]) / ts - 1.0)), 0)
-            r_hi = min(int(math.floor((hi_y + buf - bbox[1]) / ts)), n_rows - 1)
-            for r in range(r_lo, r_hi + 1):
-                for c in range(c_lo, c_hi + 1):
-                    tid = r * n_cols + c
-                    k = hot.get(tid, 1)
-                    if k == 1:
-                        expect.append((x0s[i], y0s[i], x1s[i], y1s[i], tid * _SALT_SUBS))
-                        continue
-                    tx0, ty0, tx1, ty1 = a.tile_rect(tid)
-                    w, h = (tx1 - tx0) / k, (ty1 - ty0) / k
-                    sc_lo = max(int(math.ceil((lo_x - buf - tx0) / w - 1.0)), 0)
-                    sc_hi = min(int(math.floor((hi_x + buf - tx0) / w)), k - 1)
-                    sr_lo = max(int(math.ceil((lo_y - buf - ty0) / h - 1.0)), 0)
-                    sr_hi = min(int(math.floor((hi_y + buf - ty0) / h)), k - 1)
-                    for sr in range(sr_lo, sr_hi + 1):
-                        for sc in range(sc_lo, sc_hi + 1):
-                            expect.append(
-                                (x0s[i], y0s[i], x1s[i], y1s[i], tid * _SALT_SUBS + sr * k + sc)
-                            )
+            for leaf, wx0, wy0, wx1, wy1 in leaves:
+                if lo_x <= wx1 and hi_x >= wx0 and lo_y <= wy1 and hi_y >= wy0:
+                    expect.append((x0s[i], y0s[i], x1s[i], y1s[i], leaf))
 
         got_rows = sorted(
             zip(

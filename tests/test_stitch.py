@@ -229,11 +229,11 @@ def test_round_map_spreads_active_tiles():
     t = linework_table(grid_lines(8))
     assigner = SaltedTileAssigner((0, 0, 8, 8), 2.0, 0.5, hot={})
     cols = ["plane_id", "xs", "ys"]
-    out, bucket = _round_map(cols, assigner, None, np.array([64, 256]), 2, t)
+    out, bucket = _round_map(cols, assigner, np.array([64, 256]), 2, t)
     tile = out["tile_id"].to_numpy()
     assert set(tile) == {64, 256}
     assert np.array_equal(bucket, (tile == 256).astype(bucket.dtype))
 
-    out0, bucket0 = _round_map(cols, assigner, None, None, 16, t)
+    out0, bucket0 = _round_map(cols, assigner, None, 16, t)
     pairs = set(zip(out0["tile_id"].to_numpy().tolist(), bucket0.tolist()))
     assert len(pairs) == 16 and len({b for _, b in pairs}) == 16
