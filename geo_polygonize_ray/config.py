@@ -2,7 +2,8 @@
 
 Mirrors the reference's user-extension surface (SURVEY.md §2.8):
 ``Polygonizer`` config at reference src/polygonizer.rs:30-54 (``node_input``,
-``snap_grid_size`` default 1e-10, dead ``check_valid_rings``), SnapNoder
+``snap_grid_size`` default 1e-10; the reference's ``check_valid_rings`` is
+declared there but never read, so it has no field here), SnapNoder
 ``max_iter=10`` (src/noding/snap.rs:26-31), ``TiledPolygonizer::new(bbox,
 tile_size).with_buffer`` (src/tiling.rs:16-29), plus the Ray-side knobs the
 reference expresses as a rayon feature flag.
@@ -18,7 +19,6 @@ class PipelineConfig:
     # --- reference polygonizer config (src/polygonizer.rs:30-54) ---
     node_input: bool = False
     snap_grid_size: float = 1e-10
-    check_valid_rings: bool = True  # dead config in the reference too; kept for parity
     max_noding_iters: int = 10      # src/noding/snap.rs:26
 
     # --- tiling config (src/tiling.rs:16-29) ---
@@ -34,7 +34,6 @@ class PipelineConfig:
     salt_threshold: int | None = None
 
     # --- Ray execution knobs ---
-    batch_size: int | None = 4096
     # Untiled inputs below this row count skip the cluster entirely: a
     # sub-threshold untiled job is ONE shuffle group (single-core work) plus
     # Ray's fixed exchange overhead, so running it in-process is strictly
@@ -51,6 +50,3 @@ class PipelineConfig:
 
     def tiled(self) -> bool:
         return self.tile_size > 0.0
-
-
-DEFAULT_CONFIG = PipelineConfig()

@@ -49,17 +49,6 @@ def z_order_index(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return part1by1(sx) | (part1by1(sy) << np.uint64(1))
 
 
-def morton_cell(x: np.ndarray, y: np.ndarray, level: int) -> np.ndarray:
-    """Spatial cell id: top ``2*level`` bits of an interleave of the *high*
-    32 bits of the sortable floats — an H3/S2-style hierarchical cell key
-    built from the reference's own Morton machinery (SURVEY.md §4.2).
-    """
-    sx = sortable_float(x) >> np.uint64(32)
-    sy = sortable_float(y) >> np.uint64(32)
-    z = part1by1(sx) | (part1by1(sy) << np.uint64(1))
-    return z >> np.uint64(64 - 2 * level)
-
-
 # ---------------------------------------------------------------------------
 # K1: shoelace signed area — reference src/polygonizer.rs:136 via geo::Area
 # ---------------------------------------------------------------------------
@@ -381,32 +370,6 @@ def pair_points_in_rings(
 
 def point_in_ring(px: float, py: float, ring_x: np.ndarray, ring_y: np.ndarray) -> bool:
     return bool(points_in_ring(np.array([px]), np.array([py]), ring_x, ring_y)[0])
-
-
-# ---------------------------------------------------------------------------
-# K10: bbox-intersects predicate — reference src/tiling.rs:74 (geo::Intersects on Rects)
-# ---------------------------------------------------------------------------
-
-
-def bbox_intersects(
-    aminx, aminy, amaxx, amaxy, bminx, bminy, bmaxx, bmaxy
-) -> np.ndarray:
-    """Closed-interval rectangle overlap (touching counts as intersecting,
-    matching geo's Rect/Rect Intersects semantics used at src/tiling.rs:74)."""
-    return (
-        (aminx <= bmaxx) & (amaxx >= bminx) & (aminy <= bmaxy) & (amaxy >= bminy)
-    )
-
-
-# ---------------------------------------------------------------------------
-# K8: winding reversal — reference src/polygonizer.rs:165-168 (make_ccw_winding)
-# ---------------------------------------------------------------------------
-
-
-def make_ccw(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if signed_area(xs, ys) < 0:
-        return np.ascontiguousarray(xs[::-1]), np.ascontiguousarray(ys[::-1])
-    return xs, ys
 
 
 # ---------------------------------------------------------------------------

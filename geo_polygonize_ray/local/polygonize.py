@@ -14,10 +14,10 @@ and the convenience API ``polygonize_lines``.
 
 Its output is ``assemble_flat``'s flat dict (values + offsets, Arrow-ready);
 ``Polygon`` is a view over it (``polygon_views``) for GeoJSON, the
-convenience API and tests.  Two callers keep their own sequence: the stitch
-tracer (stages/stitch.py) reads the pruned-vertex mask between phases 3 and
-4, and the image round trip (pipelines/images.py) rasterizes the traced
-rings before assembling them.
+convenience API and tests.  The escalation tracer (stages/stitch.py) runs
+it too, asking for the unowned shells and the pruned edges
+(``with_unowned``); the image round trip (pipelines/images.py) keeps its
+own sequence, rasterizing the traced rings before assembling them.
 """
 
 from __future__ import annotations
@@ -115,24 +115,42 @@ def polygonize_soup(
     snap_grid_size: float = 1e-10,
     max_noding_iters: int = 10,
     owner_rect: tuple[float, float, float, float] | None = None,
+    with_unowned: bool = False,
 ) -> dict[str, np.ndarray]:
     """Phases 1-8 over one cell's segment soup -> ``assemble_flat`` dict.
     ``node_input`` runs the snap noder first (the reference's node_input;
     without it the soup must already be noded); ``owner_rect`` applies the
-    tiling sliver + centroid-ownership filter."""
+    tiling sliver + centroid-ownership filter.  ``with_unowned`` (with an
+    ``owner_rect``) adds ``assemble_flat``'s unowned extras and
+    ``pruned_bbox``, the (m, 4) [minx, miny, maxx, maxy] boxes of the
+    edges dangle pruning removed: the escalation's cut-cycle evidence."""
     if node_input:
         x0, y0, x1, y1 = SnapNoder(snap_grid_size, max_noding_iters).node(x0, y0, x1, y1)
-    flat_x, flat_y, offsets = trace_rings(x0, y0, x1, y1)
-    return assemble_flat(flat_x, flat_y, offsets, owner_rect=owner_rect)
+    graph = _pruned_graph(x0, y0, x1, y1)
+    flat = assemble_flat(
+        *graph.get_edge_rings(), owner_rect=owner_rect, with_unowned=with_unowned
+    )
+    if with_unowned:
+        e = np.flatnonzero(graph.de_marked[0::2])
+        ends = np.stack([graph.edge_src[e], graph.edge_dst[e]])
+        x, y = graph.nodes_x[ends], graph.nodes_y[ends]
+        flat["pruned_bbox"] = np.column_stack([x.min(0), y.min(0), x.max(0), y.max(0)])
+    return flat
+
+
+def _pruned_graph(x0, y0, x1, y1) -> PlanarGraph:
+    """Phases 2-3 over an already-noded segment soup: build graph, angular
+    sort, prune dangles."""
+    graph = PlanarGraph(x0, y0, x1, y1)
+    graph.sort_edges()
+    graph.prune_dangles()
+    return graph
 
 
 def trace_rings(x0, y0, x1, y1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phases 2-4 over an already-noded segment soup: build graph, angular
     sort, prune dangles, trace edge rings.  Returns the flat ring layout."""
-    graph = PlanarGraph(x0, y0, x1, y1)
-    graph.sort_edges()
-    graph.prune_dangles()
-    return graph.get_edge_rings()
+    return _pruned_graph(x0, y0, x1, y1).get_edge_rings()
 
 
 def _assemble_core(flat_x: np.ndarray, flat_y: np.ndarray, offsets: np.ndarray):
@@ -352,7 +370,9 @@ def assemble_flat(
     return ``unowned_cx/unowned_cy/unowned_bbox`` for polygons that passed
     the sliver filter but failed the ownership test — the tracing tile uses
     these to route escalation to the centroid-owner tile.  Also always
-    returns ``owned_bbox`` (shell ring bbox per KEPT polygon) when set.
+    returns ``owned_bbox`` (shell ring bbox per KEPT polygon) when set, and
+    ``owned_ccw``/``unowned_ccw``: whether each shell is a traced CCW ring
+    (the outer ring of a connected piece) rather than a promoted face ring.
     """
     empty = dict(
         shell_values_x=np.empty(0),
@@ -373,6 +393,8 @@ def assemble_flat(
             unowned_cy=np.empty(0),
             unowned_bbox=np.empty((0, 4)),
             owned_bbox=np.empty((0, 4)),
+            unowned_ccw=np.empty(0, dtype=bool),
+            owned_ccw=np.empty(0, dtype=bool),
         )
     if len(offsets) - 1 == 0:
         return empty
@@ -429,6 +451,7 @@ def assemble_flat(
             empty["unowned_bbox"] = np.stack(
                 [r_minx[un_rids], r_miny[un_rids], r_maxx[un_rids], r_maxy[un_rids]], axis=1
             )
+            empty["unowned_ccw"] = un < n_orig
         keep &= owned
 
     kept_idx = np.flatnonzero(keep)
@@ -440,6 +463,7 @@ def assemble_flat(
         empty["owned_bbox"] = np.stack(
             [r_minx[rids], r_miny[rids], r_maxx[rids], r_maxy[rids]], axis=1
         )
+        empty["owned_ccw"] = kept_idx < n_orig
 
     # --- shell coords gather (promoted rings reversed, vectorized) ---------
     starts = offsets[rids]
@@ -494,6 +518,5 @@ def assemble_flat(
         n_holes=n_holes,
     )
     if with_unowned:
-        for k in ("unowned_cx", "unowned_cy", "unowned_bbox", "owned_bbox"):
-            out[k] = empty[k]
+        out.update({k: v for k, v in empty.items() if k not in out})
     return out

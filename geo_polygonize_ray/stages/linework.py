@@ -159,8 +159,8 @@ def _split_range(inner_edges, inner, buf: float, lo, hi):
 
 
 class SaltedTileAssigner:
-    """The tile grid, and the flat_map of each row to every leaf whose
-    buffered window its bbox meets (J5, reference src/tiling.rs:66-77:
+    """The tile grid, and the flat_map of each segment row to every leaf
+    whose buffered window its bbox meets (J5, reference src/tiling.rs:66-77:
     geometry *duplication*, not splitting).  Emits the row once per leaf
     with a ``tile_id`` column holding the leaf id; the exchange keys on it.
 
@@ -198,10 +198,6 @@ class SaltedTileAssigner:
         # sorted lookup arrays for the vectorized per-row salt-factor path
         self._hot_keys = np.array(sorted(self.hot), dtype=np.int64)
         self._hot_vals = np.array([self.hot[int(k)] for k in self._hot_keys], dtype=np.int64)
-
-    def _bboxes(self, batch: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-row bbox used for tile membership (overridden for segments)."""
-        return linework_bboxes(batch)
 
     def _salt_factors(self, tile_ids: np.ndarray) -> np.ndarray:
         """Per-row salt factor k (1 for cold tiles), via searchsorted on the
@@ -260,7 +256,7 @@ class SaltedTileAssigner:
         return base * _SALT_SUBS + sr * k + sc
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        bminx, bminy, bmaxx, bmaxy = self._bboxes(batch)
+        bminx, bminy, bmaxx, bmaxy = segment_bboxes(batch)
         rep, c, r = cell_pairs(*self.tile_ranges(bminx, bminy, bmaxx, bmaxy))
         base = r * self.n_cols + c
         leaf = base * _SALT_SUBS
@@ -289,9 +285,6 @@ class SaltedSegmentAssigner(SaltedTileAssigner):
     carries window-sized pieces (~48 B/row) instead of whole linestrings.
     Identical float math to the tracer's former post-shuffle clip — the
     noder sees byte-identical input."""
-
-    def _bboxes(self, batch: pa.Table):
-        return segment_bboxes(batch)
 
     def assign_and_clip(self, batch: pa.Table) -> pa.Table:
         from geo_polygonize_ray.geom.kernels import clip_segments_to_rect

@@ -4,39 +4,86 @@ crossing tile edges").
 The buffered-duplication scheme (J5 + A8) inherits the reference's contract:
 a polygon larger than the tile buffer can be mis-traced (src/tiling.rs
 caveat, SURVEY.md §3.3).  The north-star sketches a kNN endpoint-stitching
-join; we implement the provably-exact alternative: **adaptive buffer
-escalation with centroid-routed witnesses**.
+join; we implement **adaptive buffer escalation with centroid-routed
+witnesses** as a thin layer over the tiled path: each round's map is the
+tiled map (explode the linework, duplicate every segment to each buffered
+leaf window it meets and clip it there, ``assign_and_clip``) run with the
+round's buffer on the active tiles only, and each cell is one
+``polygonize_soup`` call that also returns the unowned shells and the
+pruned edges.
 
-Soundness argument (why a polygon can be trusted without global knowledge):
-the tile's input is every linestring whose bbox intersects the buffered
-rect, included IN FULL.  A line whose bbox misses the buffered rect cannot
-enter it, so for any face whose closed shell lies strictly inside the
-buffered rect, (a) all of its boundary linework was present, (b) all noding
-split points affecting geometry inside the rect were computed (intersections
-happen where both lines are), and (c) dangle pruning cannot have removed a
-locally-complete cycle.  Hence:
+Setting.  Leaf T has the half-open owner rect R = [x0, x1) x [y0, y1)
+and, in a round with buffer b, the closed window W = R grown by b.  T's
+cell holds every input segment that meets W, clipped to W.  So in the
+open window the cell's linework is the global linework: every global
+vertex and crossing there is a local one, with all its global edges.
+Clipping only adds free ends on the boundary of W: every local cycle is a
+global cycle, and a chain that leaves W ends there as a dangle.  (Clip
+points are rounded once; the snap noder absorbs that, as on the tiled
+path.)
 
-    a polygon whose shell bbox is strictly inside the buffered window is
-    EXACT — it is a face of the global arrangement.
+Trust.  Let S be a face ring traced in T (a promoted CW ring) whose bbox
+lies strictly inside W.  A chain entering S's bounded side cannot reach
+the boundary of W without crossing S, which would be a local vertex; so
+the chains there are complete, their dangles are global dangles, and at
+each vertex of S the local angular order on S's bounded side is the
+global one.  Tracing follows that order, so S bounds a face of the global
+arrangement.  Its holes lie inside S's bbox and are global rings too, and
+a local shell that is not global touches the boundary of W and so cannot
+nest inside S: holes, area and centroid come out as they do globally.
+Hence
 
-Escalation evidence has three sources, covering every way a tile's output
-can be incomplete:
+    a polygon whose shell bbox is strictly inside the window is EXACT.
 
-  1. *Owned untrusted shells* — an owned polygon touching the window
-     boundary may be a merged/partial artifact: the tile flags ITSELF.
-  2. *Cut-cycle risk* — a pruned (dangle) vertex inside the owner rect:
-     a face whose ring was severed by missing linework may have vanished
-     without leaving a shell; the tile flags ITSELF.
-  3. *Centroid-routed witnesses* — a shell traced here but owned by
-     another tile C (round-1 judge finding: C may hold NONE of the
-     linework, e.g. a large ring supplied as separate side linestrings —
-     C resolves vacuously and the polygon is silently lost).  The tracer
-     emits a witness row (tile_id = C, bbox) unless the shell is trusted
-     AND its bbox fits strictly inside C's ROUND-0 window (in which case
-     C provably traced it in round 0 itself).  The driver keeps C active
-     until C runs a round whose window strictly contains the witness
-     bbox — at that point C has strictly more local information than the
-     witnessing tile and judges the region with its own evidence.
+A CCW shell (the outer ring of a connected piece, kept when the
+reference's hole rule leaves it a residual) is traced on its unbounded
+side, where a chain can leave W without crossing it; cut there and
+pruned, it would shrink the ring to one that exists in no global trace.
+So such a shell is trusted only when, besides, no pruned edge meets its
+bbox (``_trusted``).
+
+Escalation evidence.  A tile reports itself unresolved when
+
+  1. *untrusted owned shell* — it owns a polygon whose shell bbox is not
+     strictly inside W (possibly a merged or partial face), or
+  2. *cut cycle* — a pruned edge meets R.  A global shell that crosses R
+     and leaves W is cut at the clip points; the piece from its last local
+     junction to the clip point has a free end, pruning peels it, and the
+     face may vanish without leaving any shell.  "Meets" is ownership's
+     test: an edge bbox [ex0, ex1] meets [x0, x1) when ex0 < x1 and
+     ex1 >= x0, closed only on the grid's outer max edges.  So a pruned
+     edge on an edge two leaves share flags one of them, and one on the
+     bbox's max edge still flags the last row or column.  Vertices are no
+     evidence here: a clipped piece's ends are clip points, outside R, so
+     a ring whose sides cross rects without a vertex would flag nothing;
+
+and emits
+
+  3. *centroid-routed witnesses* — for each shell it traces but does not
+     own, a witness row (tile_id = the centroid owner C, the shell bbox),
+     unless the shell is trusted AND its bbox fits strictly inside C's
+     ROUND-0 window (then C traced it exactly in round 0 itself).  C may
+     hold none of the linework (a large ring's centroid tile) and would
+     resolve vacuously.  The driver keeps C active until C runs a round
+     whose window strictly contains the witness bbox: C then traces the
+     face exactly itself.
+
+Completeness.  Let F be a global polygon with shell S and centroid owner
+C, and T any tile whose rect S meets, in T's last round.  If S is
+strictly inside T's window, T traces F exactly and owns it (T = C) or
+witnesses it to C, which then traces it exactly.  Otherwise some edge e
+of S meets R and S leaves W; if e is pruned, T flags (2) and runs again,
+so this was not its last round.  If e lies on local cycles (the face on
+F's side of e is then some other face), T may stay resolved, and F
+depends on another tile along S whose rect holds a pruned piece of S.
+A shell covered, in every rect it crosses, by cycles that close inside
+the window on its far side (a large face lined all round by faces
+smaller than the buffer) leaves no evidence in any tile, and its face is
+lost; whole-line rows had the same gap for rings given as separate
+pieces.  Outside that case every cut face keeps some tile flagging until
+its window holds the shell or the round is global, and the last permitted
+round forces buffer >= span, so every still-active tile finishes exact
+(its verdicts are then ignored).
 
 Exactly-once: each tile's final contribution comes from the LAST round it
 ran (a re-run's window is a superset, so its owned trusted output is a
@@ -46,9 +93,7 @@ neighbouring tiles share their edges bit for bit (every owner rect, window,
 tile range and witness owner comes from the one ``SaltedTileAssigner``
 grid, whose tile c spans [minx + c * tile_size, minx + (c + 1) *
 tile_size)) and agree on each centroid bit for bit (the shell's centroid
-is summed over its own ring only, ``kernels.ring_centroid_isolated``).  The
-last permitted round forces the buffer to cover the whole
-bbox, so every still-active tile finishes globally exact.
+is summed over its own ring only, ``kernels.ring_centroid_isolated``).
 """
 
 from __future__ import annotations
@@ -68,21 +113,16 @@ from geo_polygonize_ray.functions.exchange import (
     exchange,
     map_slices,
 )
-from geo_polygonize_ray.local.graph import PlanarGraph
-from geo_polygonize_ray.local.noding import SnapNoder
-from geo_polygonize_ray.local.polygonize import assemble_flat
 from geo_polygonize_ray.pipelines.polygonize import _slices_bbox
 from geo_polygonize_ray.stages.linework import (
     _SALT_SUBS,
+    SaltedSegmentAssigner,
     SaltedTileAssigner,
     add_plane_key,
+    explode_linework_to_segments,
     linework_bboxes,
 )
-from geo_polygonize_ray.stages.trace import (
-    POLYGON_SCHEMA,
-    flat_to_table,
-    plane_tile_line_groups,
-)
+from geo_polygonize_ray.stages.trace import POLYGON_SCHEMA, TilePolygonizer, flat_to_table
 
 RESOLVE_SCHEMA = POLYGON_SCHEMA.append(pa.field("resolved", pa.bool_()))
 
@@ -91,68 +131,43 @@ _CUT_SENTINEL = -1  # tile produced nothing but has cut-cycle risk
 _WITNESS = -2  # row's tile_id is the CENTROID OWNER of a shell traced elsewhere
 
 
-class EscalatingTilePolygonizer:
-    """Like TilePolygonizer, but tags each tile's output with a
-    ``resolved`` verdict and emits centroid-routed witness rows for shells
-    owned by other tiles (soundness rules in the module docstring)."""
+class EscalatingTilePolygonizer(TilePolygonizer):
+    """TilePolygonizer's bucket loop, whose cells also return the unowned
+    shells and pruned edges, with a per-cell step that tags each tile's
+    output with a ``resolved`` verdict and emits centroid-routed witness
+    rows for shells owned by other tiles (soundness rules in the module
+    docstring).  One instance per round."""
+
+    schema = RESOLVE_SCHEMA
+    with_unowned = True
 
     def __init__(self, assigner: SaltedTileAssigner, snap_grid_size: float = 1e-10,
                  max_noding_iters: int = 10, base_buffer: float | None = None):
-        self.assigner = assigner
-        self.snap_grid_size = snap_grid_size
-        self.max_noding_iters = max_noding_iters
+        super().__init__(assigner, True, snap_grid_size, max_noding_iters)
         # the round-0 buffer: every tile is guaranteed to have run with it
         self.base_buffer = assigner.buffer if base_buffer is None else float(base_buffer)
 
     def __call__(self, group: pa.Table) -> pa.Table:
-        has_plane = "plane_key" in group.schema.names
-        empty = RESOLVE_SCHEMA.empty_table()
-        if has_plane:
-            empty = empty.append_column("plane_key", pa.array([], pa.int64()))
-        if group.num_rows == 0:
-            return empty
-        out = []
-        for tid, plane_key, segs in plane_tile_line_groups(group):
-            t = self._tile(segs, tid)
-            if has_plane:
-                t = t.append_column(
-                    "plane_key", pa.array(np.full(t.num_rows, plane_key, dtype=np.int64))
-                )
-            out.append(t)
-        return pa.concat_tables(out) if out else empty
+        return self._bucket(group)
 
-    def _tile(self, segs: tuple[np.ndarray, ...], tile_id: int) -> pa.Table:
-        ax0, ay0, ax1, ay1 = self.assigner.leaf_rect(tile_id)
-        buf = self.assigner.buffer
-        window = (ax0 - buf, ay0 - buf, ax1 + buf, ay1 + buf)
-
-        # polygonize_soup's phases, with the pruned-vertex mask read between
-        # dangle pruning and ring tracing
-        x0, y0, x1, y1 = SnapNoder(self.snap_grid_size, self.max_noding_iters).node(*segs)
-        graph = PlanarGraph(x0, y0, x1, y1)
-        graph.sort_edges()
-        graph.prune_dangles()
-        # pruned (dangle) vertices inside the owner rect flag possible cut
-        # cycles — faces that never materialized locally
-        pruned = graph.nodes_marked
+    def _table(self, flat: dict, tile_id: int, rect) -> pa.Table:
+        a = self.assigner
+        ax0, ay0, ax1, ay1 = rect
+        window = (ax0 - a.buffer, ay0 - a.buffer, ax1 + a.buffer, ay1 + a.buffer)
+        # cut-cycle evidence: a pruned edge meeting the owner rect, tested
+        # half-open like ownership and closed on the grid's outer max edges
+        cx1 = np.nextafter(ax1, np.inf) if ax1 >= a.maxx else ax1
+        cy1 = np.nextafter(ay1, np.inf) if ay1 >= a.maxy else ay1
+        pb = flat["pruned_bbox"]
         cut_risk = bool(
-            np.any(
-                pruned
-                & (graph.nodes_x >= ax0)
-                & (graph.nodes_x < ax1)
-                & (graph.nodes_y >= ay0)
-                & (graph.nodes_y < ay1)
-            )
-        )
-        fx, fy, offs = graph.get_edge_rings()
-        flat = assemble_flat(
-            fx, fy, offs, owner_rect=(ax0, ay0, ax1, ay1), with_unowned=True
+            np.any((pb[:, 0] < cx1) & (pb[:, 2] >= ax0) & (pb[:, 1] < cy1) & (pb[:, 3] >= ay0))
         )
         t = flat_to_table(flat, tile_id)
         n = t.num_rows
 
-        # trust check: every owned polygon's shell strictly inside the window
-        resolved = bool(_inside(flat["owned_bbox"], window).all()) and not cut_risk
+        # trust check: every owned polygon's shell exact (``_trusted``)
+        trusted = _trusted(flat["owned_bbox"], flat["owned_ccw"], window, pb)
+        resolved = bool(trusted.all()) and not cut_risk
 
         parts: list[pa.Table] = []
         if n == 0 and not resolved:
@@ -165,9 +180,9 @@ class EscalatingTilePolygonizer:
         # centroid-routed witnesses for unowned shells
         ub = flat["unowned_bbox"]
         if len(ub):
-            u_trust = _inside(ub, window)
-            owner = self.assigner.owner_leaves(flat["unowned_cx"], flat["unowned_cy"])
-            covered_r0 = _inside(ub, self.assigner.leaf_windows(owner, self.base_buffer))
+            u_trust = _trusted(ub, flat["unowned_ccw"], window, pb)
+            owner = a.owner_leaves(flat["unowned_cx"], flat["unowned_cy"])
+            covered_r0 = _inside(ub, a.leaf_windows(owner, self.base_buffer))
             emit = np.flatnonzero(~(u_trust & covered_r0) & (owner != tile_id))
             if len(emit):
                 parts.append(_witness_table(owner[emit], ub[emit], u_trust[emit]))
@@ -226,6 +241,18 @@ def _inside(bbox: np.ndarray, w) -> np.ndarray:
     return (bbox[:, 0] > w[0]) & (bbox[:, 1] > w[1]) & (bbox[:, 2] < w[2]) & (bbox[:, 3] < w[3])
 
 
+def _trusted(bbox: np.ndarray, ccw: np.ndarray, window, pruned: np.ndarray) -> np.ndarray:
+    """Which shells are exact (module docstring, Trust): bbox strictly
+    inside the window and, for an outer (CCW) ring, no pruned edge meeting
+    its bbox (closed): a chain cut off at the window may hang there."""
+    ok = _inside(bbox, window)
+    px0, py0, px1, py1 = pruned.T
+    for i in np.flatnonzero(ok & ccw):
+        x0, y0, x1, y1 = bbox[i]
+        ok[i] = not np.any((px0 <= x1) & (px1 >= x0) & (py0 <= y1) & (py1 >= y0))
+    return ok
+
+
 def _prefilter(t: pa.Table, assigner: SaltedTileAssigner, keep) -> pa.Table:
     """Rows whose bbox meets the buffered window of at least one of the
     (unsalted) leaves ``keep``; every row when ``keep`` is None.  Each row's
@@ -248,15 +275,18 @@ def _prefiltered_rows(t: pa.Table, assigner: SaltedTileAssigner, keep) -> int:
     return _prefilter(t, assigner, keep).num_rows
 
 
-def _round_map(cols, assigner, keep, n_buckets, t: pa.Table):
-    """Exchange map side of one round: whole linework rows that meet an
-    active tile's window, duplicated to every buffered tile they meet,
-    restricted to the active tiles (``keep``, sorted; None in round 0).
+def _round_map(cols, assigner: SaltedSegmentAssigner, keep, n_buckets, t: pa.Table):
+    """Exchange map side of one round: the tiled map
+    (``pipelines/polygonize._tiled_map``: add_plane_key, explode,
+    assign_and_clip) over the linework rows that meet an active tile's
+    window, restricted to the active tiles (``keep``, sorted; None in
+    round 0).
 
     A tile's bucket is its rank in the round's tile list modulo
     ``n_buckets`` (in round 0 every tile runs, and leaf = tile * 64), so a
     round with no more tiles than reduce tasks runs one tile per task."""
-    t = assigner(_prefilter(add_plane_key(t.select(cols)), assigner, keep))
+    t = _prefilter(add_plane_key(t.select(cols)), assigner, keep)
+    t = assigner.assign_and_clip(explode_linework_to_segments(t))
     if keep is None:
         return t, t["tile_id"].to_numpy() // _SALT_SUBS % n_buckets
     t = t.filter(pa.array(np.isin(t["tile_id"].to_numpy(), keep)))
@@ -305,16 +335,18 @@ def polygonize_dataset_adaptive(
 
     Scale shape: ``ds`` executes once into block refs cut into ~n_cpus row
     slices (functions/exchange.py), and every round is one hash exchange of
-    plain Ray tasks over those same slices.  Rounds 1+ pre-filter each slice
-    by bbox-intersects-active-windows before tile assignment, so a late
-    round touching a handful of tiles assigns ~those tiles' linework, not
-    the whole input.  Each round's reduce outputs (polygons plus verdict and
-    witness rows) stay in the object store as refs; one small task per ref
-    sends the driver only the unresolved tile ids and the witness rows.  At
-    the end one task per ref keeps the polygon rows of each tile's last
-    round, and the result is a materialized Dataset over those refs.  Every
-    round's output is held in the object store until the job returns (Ray
-    spills objects to disk under memory pressure).
+    plain Ray tasks over those same slices, carrying clipped segment rows
+    (``_round_map``).  Rounds 1+ pre-filter each slice's linework rows by
+    bbox-intersects-active-windows before exploding and assigning them, so
+    a late round touching a handful of tiles assigns ~those tiles'
+    linework, not the whole input.  Each round's reduce outputs (polygons
+    plus verdict and witness rows) stay in the object store as refs; one
+    small task per ref sends the driver only the unresolved tile ids and
+    the witness rows.  At the end one task per ref keeps the polygon rows
+    of each tile's last round, and the result is a materialized Dataset
+    over those refs.  Every round's output is held in the object store
+    until the job returns (Ray spills objects to disk under memory
+    pressure).
 
     ``spill_dir`` is unused: nothing is written to disk.  It stays in the
     signature because ``polybench/workloads.py`` still passes it.
@@ -355,7 +387,7 @@ def polygonize_dataset_adaptive(
         if r >= max_rounds - 1:
             buf = max(buf, span)  # last permitted round is globally exact
         final_round = buf >= span
-        assigner = SaltedTileAssigner(bbox, cfg.tile_size, buf, hot={})
+        assigner = SaltedSegmentAssigner(bbox, cfg.tile_size, buf, hot={})
 
         # rounds 1+: keep only the active tiles; the map side pre-filters
         # its rows to those meeting an active tile's window before assignment

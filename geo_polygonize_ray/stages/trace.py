@@ -8,6 +8,11 @@ the reference's per-tile run (src/tiling.rs:62-63), then the sliver filter
 and the half-open ``[min, max)`` centroid-ownership rule
 (src/tiling.rs:95-106) that guarantees each polygon is emitted by exactly
 one tile despite the buffered duplication.
+
+Tiled cells (``polygonize_dataset`` and every escalation round of
+``polygonize_dataset_adaptive``) arrive as clipped segment rows and are
+split by ``plane_tile_segment_groups``; only the untiled exchange still
+sends whole linework rows (``plane_tile_line_groups``).
 """
 
 from __future__ import annotations
@@ -152,12 +157,18 @@ class TilePolygonizer:
     A bucket holds EVERY row of one or more (plane, tile) cells (tiles are
     bucketed upstream, so the task overhead is paid per *bucket*, not per
     tile — the same high-cardinality-key pattern as functions/agg.py), as
-    clipped segment rows (tiled) or whole linework rows (untiled, one cell
-    per plane).  Each cell is polygonized independently by
-    ``polygonize_soup`` — overlapping planes are never noded into one
+    clipped segment rows (tiled, and every escalation round) or whole
+    linework rows (untiled, one cell per plane).  Each cell is one
+    ``polygonize_soup`` call — overlapping planes are never noded into one
     graph — with the tile's leaf rect as owner rect when there is an
-    assigner.  Construction is trivial; per-call state is local numpy.
+    assigner.  ``_bucket`` is the loop over a bucket's cells and
+    ``_table`` turns one cell's kernel output into rows; the escalation
+    tracer (stages/stitch.py) shares the loop and replaces ``_table``.
+    Construction is trivial; per-call state is local numpy.
     """
+
+    schema = POLYGON_SCHEMA
+    with_unowned = False  # polygonize_soup's escalation extras
 
     def __init__(
         self,
@@ -172,8 +183,14 @@ class TilePolygonizer:
         self.max_noding_iters = max_noding_iters
 
     def __call__(self, group: pa.Table) -> pa.Table:
+        return self._bucket(group)
+
+    def _bucket(self, group: pa.Table) -> pa.Table:
+        """One ``polygonize_soup`` call per (plane, tile) cell of ``group``,
+        its ``_table`` rows concatenated (``plane_key`` appended when the
+        input has it)."""
         has_plane = "plane_key" in group.schema.names
-        empty = POLYGON_SCHEMA.empty_table()
+        empty = self.schema.empty_table()
         if has_plane:
             empty = empty.append_column("plane_key", pa.array([], pa.int64()))
         if group.num_rows == 0:
@@ -184,17 +201,22 @@ class TilePolygonizer:
             cells = plane_tile_line_groups(group)
         out = []
         for tile_id, plane_key, segs in cells:
+            rect = None if self.assigner is None else self.assigner.leaf_rect(tile_id)
             flat = polygonize_soup(
                 *segs,
                 node_input=self.node_input,
                 snap_grid_size=self.snap_grid_size,
                 max_noding_iters=self.max_noding_iters,
-                owner_rect=None if self.assigner is None else self.assigner.leaf_rect(tile_id),
+                owner_rect=rect,
+                with_unowned=self.with_unowned,
             )
-            t = flat_to_table(flat, tile_id)
+            t = self._table(flat, tile_id, rect)
             if has_plane:
                 t = t.append_column(
                     "plane_key", pa.array(np.full(t.num_rows, plane_key, dtype=np.int64))
                 )
             out.append(t)
         return pa.concat_tables(out) if out else empty
+
+    def _table(self, flat: dict, tile_id: int, rect) -> pa.Table:
+        return flat_to_table(flat, tile_id)

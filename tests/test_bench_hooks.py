@@ -10,7 +10,8 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Traced job 1: both TilePolygonizer row formats and one stitch tracer call.
+# Traced job 1: both TilePolygonizer row formats and one stitch tracer call
+# on clipped segment rows, as an escalation round sends them.
 # Every (plane, tile) cell must give exactly one trace.cell span with exactly
 # one span of each kernel phase inside it: local.graph, local.sort,
 # local.prune, local.rings and local.assemble (the per-layer split reads
@@ -41,7 +42,7 @@ flag.set(1)
 
 from geo_polygonize_ray.sources.fixtures import grid_lines, linework_table
 from geo_polygonize_ray.stages.linework import (
-    SaltedSegmentAssigner, SaltedTileAssigner, add_plane_key, explode_linework_to_segments,
+    SaltedSegmentAssigner, add_plane_key, explode_linework_to_segments,
 )
 from geo_polygonize_ray.stages.stitch import EscalatingTilePolygonizer
 from geo_polygonize_ray.stages.trace import TilePolygonizer
@@ -53,9 +54,9 @@ TilePolygonizer(None)(untiled)
 seg_assigner = SaltedSegmentAssigner(bbox, 2.0, 0.5)
 segs = seg_assigner.assign_and_clip(explode_linework_to_segments(lines))
 TilePolygonizer(seg_assigner)(segs)
-line_assigner = SaltedTileAssigner(bbox, 2.0, 1.0)
-rows = line_assigner(lines)
-EscalatingTilePolygonizer(line_assigner)(rows)
+round_assigner = SaltedSegmentAssigner(bbox, 2.0, 1.0)
+rows = round_assigner.assign_and_clip(explode_linework_to_segments(lines))
+EscalatingTilePolygonizer(round_assigner)(rows)
 
 flag.set(2)
 out = ImageRoundtrip()(batch)

@@ -244,6 +244,44 @@ def test_centroids_on_tile_edges(ts):
             _assert_same_count_area(_count_area(out["area"].to_numpy()), local)
 
 
+def _polylines_and_rings(seed):
+    """Random polylines of 3-6 vertices and 2-3 closed rings (one linestring
+    each, 5-8 vertices at radius 25-45 around a point near the centre) in
+    [0, 100]^2: rings several escalation windows wide."""
+    rng = np.random.default_rng(seed)
+    lines = [rng.uniform(0, 100, (int(rng.integers(3, 7)), 2)) for _ in range(rng.integers(6, 12))]
+    for _ in range(rng.integers(2, 4)):
+        c, r = rng.uniform(40, 60, 2), rng.uniform(25, 45)
+        a = np.sort(rng.uniform(0, 2 * np.pi, int(rng.integers(5, 9))))
+        ring = np.clip(c + r * np.stack([np.cos(a), np.sin(a)], axis=1), 0, 100)
+        lines.append(np.vstack([ring, ring[:1]]))
+    return lines
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_adaptive_matches_local_on_large_rings(seed):
+    """Escalation on clipped segment rows: for random polylines and closed
+    rings far larger than the round-0 window (tile 10, buffer 5), the
+    adaptive run and the local run give the same polygon count and area
+    sum, and at least one escalation round runs."""
+    import ray.data as rd
+
+    from geo_polygonize_ray.config import PipelineConfig
+    from geo_polygonize_ray.sources.fixtures import linework_table
+    from geo_polygonize_ray.stages.stitch import polygonize_dataset_adaptive
+
+    lines = _polylines_and_rings(seed)
+    local = _count_area([p.area for p in polygonize_lines(lines, node_input=True)])
+    counts: list = []
+    cfg = PipelineConfig(tile_size=10.0, tile_buffer=1.0)
+    out = polygonize_dataset_adaptive(
+        rd.from_arrow(linework_table(lines)), cfg, (0, 0, 100, 100), _round_input_counts=counts
+    ).to_pandas()
+    assert len(counts) >= 2, counts
+    _assert_same_count_area(_count_area(out["area"].to_numpy()), local)
+
+
 # ---------------------------------------------------------------------------
 # engine-function properties: packing + exact quantiles
 # ---------------------------------------------------------------------------

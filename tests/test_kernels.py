@@ -23,15 +23,6 @@ class TestMorton:
         z2 = K.z_order_index(np.array([1.0]), np.array([1.0]))
         assert z1 == z2
 
-    def test_morton_cell_levels(self):
-        x = np.array([0.0, 1.0, 1e6, -1e6])
-        y = np.array([0.0, -1.0, 1e6, 2.0])
-        c1 = K.morton_cell(x, y, 1)
-        c8 = K.morton_cell(x, y, 8)
-        assert c1.dtype == np.uint64
-        # coarser level must be a prefix of the finer level
-        assert np.all((c8 >> np.uint64(14)) == c1)
-
 
 class TestArea:
     def test_ccw_square(self):

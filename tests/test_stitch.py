@@ -132,6 +132,42 @@ class TestAdaptiveEscalation:
         assert sorted(round(a, 6) for a in out["area"]) == [6400.0]
         assert sorted(out["n_holes"]) == [0]
 
+    def test_ring_sides_cross_rects_without_vertices(self):
+        """Pruned-edge evidence: a 50x50 ring given as one closed linestring
+        whose corners each sit on a 1x1 cell, tile 10.  Clipped to a window,
+        every side piece ends at clip points outside the owner rect and the
+        corners stay on cycles, so no pruned VERTEX lies in any rect; the
+        pruned side pieces crossing the rects flag the tiles instead.
+        Without them the 2500-area face (owned by an empty centre tile) is
+        lost."""
+        sq = lambda a, b: ls((a, a), (b, a), (b, b), (a, b), (a, a))
+        box = lambda x, y: ls((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1), (x, y))
+        lines = [sq(5, 55), box(5, 5), box(54, 5), box(54, 54), box(5, 54)]
+        local = local_area_holes(lines)
+        assert (2496.0, 0) in local
+        cfg = PipelineConfig(tile_size=10.0, tile_buffer=1.0)
+        ds = rd.from_arrow(linework_table(lines))
+        out = polygonize_dataset_adaptive(ds, cfg, bbox=(0, 0, 60, 60))
+        assert area_holes(consume(out)) == local
+
+    def test_ring_on_max_edges(self):
+        """Pruned edges on the grid's outer max edges count for the last
+        row and column.  The square [30, 60]^2 has its top and right sides
+        on the bbox's max edges and its left and bottom sides lined outside
+        by 1x1 cells, which close inside every window, so its only pruned
+        pieces lie on x = 60 or y = 60: a half-open test would find them in
+        no owner rect, and the 900-area face would be lost."""
+        lines = [ls((30, 30), (60, 30), (60, 60), (30, 60), (30, 30))]
+        lines += [ls((29, 29), (29, 60)), ls((29, 29), (60, 29))]
+        lines += [ls((29, v), (30, v)) for v in range(30, 61)]
+        lines += [ls((v, 29), (v, 30)) for v in range(30, 61)]
+        local = local_area_holes(lines)
+        assert (900.0, 0) in local
+        cfg = PipelineConfig(tile_size=10.0, tile_buffer=1.0)
+        ds = rd.from_arrow(linework_table(lines))
+        out = polygonize_dataset_adaptive(ds, cfg, bbox=(0, 0, 60, 60))
+        assert area_holes(consume(out)) == local
+
     def test_nested_giant_rings(self):
         """Nested rings far larger than any tile: everything escalates to the
         global round and still comes out exact."""
@@ -222,12 +258,13 @@ def test_round_map_spreads_active_tiles():
     """A round's tiles go round-robin over its reduce tasks by rank: two
     active tiles and two reduce tasks run as two tasks (a hash of the leaf
     ids put leaves 64 and 256 in one bucket), and round 0 runs one tile
-    per task while there are no more tiles than tasks."""
-    from geo_polygonize_ray.stages.linework import SaltedTileAssigner
+    per task while there are no more tiles than tasks.  Rows leave the map
+    as clipped segment rows, like the tiled path's."""
+    from geo_polygonize_ray.stages.linework import SaltedSegmentAssigner
     from geo_polygonize_ray.stages.stitch import _round_map
 
     t = linework_table(grid_lines(8))
-    assigner = SaltedTileAssigner((0, 0, 8, 8), 2.0, 0.5, hot={})
+    assigner = SaltedSegmentAssigner((0, 0, 8, 8), 2.0, 0.5, hot={})
     cols = ["plane_id", "xs", "ys"]
     out, bucket = _round_map(cols, assigner, np.array([64, 256]), 2, t)
     tile = out["tile_id"].to_numpy()
