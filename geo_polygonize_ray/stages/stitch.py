@@ -44,8 +44,8 @@ bbox (``_trusted``).
 
 Escalation evidence.  A tile reports itself unresolved when
 
-  1. *untrusted owned shell* — it owns a polygon whose shell bbox is not
-     strictly inside W (possibly a merged or partial face), or
+  1. *untrusted owned shell* — it owns a polygon whose shell is not
+     trusted as above (possibly a merged or partial face), or
   2. *cut cycle* — a pruned edge meets R.  A global shell that crosses R
      and leaves W is cut at the clip points; the piece from its last local
      junction to the clip point has a free end, pruning peels it, and the
