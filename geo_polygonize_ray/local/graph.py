@@ -90,6 +90,8 @@ class PlanarGraph:
         self.adj_offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.nodes_degree, out=self.adj_offsets[1:])
         self.adj = np.empty(0, dtype=np.int64)
+        # (live half-edge ids, ring index of each), set by get_edge_rings
+        self.live_rings: tuple[np.ndarray, np.ndarray] | None = None
 
     def _use_reference_numbering(self) -> None:
         """Renumber nodes in the reference's (z, x, y) endpoint order
@@ -342,6 +344,7 @@ class PlanarGraph:
         # rank (steps from the leader), then scatters the coordinates into place.
         live = np.flatnonzero(~de_marked)
         if len(live) == 0:
+            self.live_rings = (live, live)
             return (
                 np.empty(0, dtype=np.float64),
                 np.empty(0, dtype=np.float64),
@@ -372,6 +375,7 @@ class PlanarGraph:
         ring_of = np.cumsum(leader)
         n_rings = int(ring_of[-1])
         ring = ring_of[lab] - 1
+        self.live_rings = (live, ring)
         offsets = np.zeros(n_rings + 1, dtype=np.int64)
         np.cumsum(np.bincount(ring, minlength=n_rings) + 1, out=offsets[1:])
         all_nodes = np.empty(m + n_rings, dtype=np.int64)

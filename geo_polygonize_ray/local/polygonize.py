@@ -15,7 +15,7 @@ and the convenience API ``polygonize_lines``.
 Its output is ``assemble_flat``'s flat dict (values + offsets, Arrow-ready);
 ``Polygon`` is a view over it (``polygon_views``) for GeoJSON, the
 convenience API and tests.  The escalation tracer (stages/stitch.py) runs
-it too, asking for the unowned shells and the pruned edges
+it too, asking for the unowned shells and the traced graph
 (``with_unowned``); the image round trip (pipelines/images.py) keeps its
 own sequence, rasterizing the traced rings before assembling them.
 """
@@ -121,9 +121,9 @@ def polygonize_soup(
     ``node_input`` runs the snap noder first (the reference's node_input;
     without it the soup must already be noded); ``owner_rect`` applies the
     tiling sliver + centroid-ownership filter.  ``with_unowned`` (with an
-    ``owner_rect``) adds ``assemble_flat``'s unowned extras and
-    ``pruned_bbox``, the (m, 4) [minx, miny, maxx, maxy] boxes of the
-    edges dangle pruning removed: the escalation's cut-cycle evidence."""
+    ``owner_rect``) adds ``assemble_flat``'s unowned extras and ``graph``,
+    the traced ``PlanarGraph`` (pruned edges, ring of each half-edge): the
+    escalation's evidence (stages/stitch.py)."""
     if node_input:
         x0, y0, x1, y1 = SnapNoder(snap_grid_size, max_noding_iters).node(x0, y0, x1, y1)
     graph = _pruned_graph(x0, y0, x1, y1)
@@ -131,10 +131,7 @@ def polygonize_soup(
         *graph.get_edge_rings(), owner_rect=owner_rect, with_unowned=with_unowned
     )
     if with_unowned:
-        e = np.flatnonzero(graph.de_marked[0::2])
-        ends = np.stack([graph.edge_src[e], graph.edge_dst[e]])
-        x, y = graph.nodes_x[ends], graph.nodes_y[ends]
-        flat["pruned_bbox"] = np.column_stack([x.min(0), y.min(0), x.max(0), y.max(0)])
+        flat["graph"] = graph
     return flat
 
 

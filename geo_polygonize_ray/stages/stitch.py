@@ -10,7 +10,7 @@ tiled map (explode the linework, duplicate every segment to each buffered
 leaf window it meets and clip it there, ``assign_and_clip``) run with the
 round's buffer on the active tiles only, and each cell is one
 ``polygonize_soup`` call that also returns the unowned shells and the
-pruned edges.
+traced graph.
 
 Setting.  Leaf T has the half-open owner rect R = [x0, x1) x [y0, y1)
 and, in a round with buffer b, the closed window W = R grown by b.  T's
@@ -20,7 +20,8 @@ vertex and crossing there is a local one, with all its global edges.
 Clipping only adds free ends on the boundary of W: every local cycle is a
 global cycle, and a chain that leaves W ends there as a dangle.  (Clip
 points are rounded once; the snap noder absorbs that, as on the tiled
-path.)
+path.)  The rects tile the bbox, which holds all the linework (the tile
+grid assumes it too).
 
 Trust.  Let S be a face ring traced in T (a promoted CW ring) whose bbox
 lies strictly inside W.  A chain entering S's bounded side cannot reach
@@ -42,20 +43,27 @@ pruned, it would shrink the ring to one that exists in no global trace.
 So such a shell is trusted only when, besides, no pruned edge meets its
 bbox (``_trusted``).
 
+Open faces.  A point of W is *closed* when a local cycle encloses it (it
+lies in a face the cell traces) and *open* otherwise.  The open linework
+(the pruned edges, and the edges of the CCW outer rings where the closed
+part ends) and the frame of W cut the open part into *open faces*, and
+every open face runs along the frame: a region of W bounded by local
+edges alone is enclosed by a local cycle, so it is closed.  An open face
+that holds a point outside the bbox lies in the global unbounded face: a
+path inside it crosses no linework of W, which is the global linework
+there, and outside the bbox there is none.  ``_open_face`` traces the open
+faces as the faces of a second graph, the open linework plus the frame
+(the frame chains the corners of W and every node within rounding of its
+edges), and keeps those whose ring runs along the frame.
+
 Escalation evidence.  A tile reports itself unresolved when
 
   1. *untrusted owned shell* — it owns a polygon whose shell is not
      trusted as above (possibly a merged or partial face), or
-  2. *cut cycle* — a pruned edge meets R.  A global shell that crosses R
-     and leaves W is cut at the clip points; the piece from its last local
-     junction to the clip point has a free end, pruning peels it, and the
-     face may vanish without leaving any shell.  "Meets" is ownership's
-     test: an edge bbox [ex0, ex1] meets [x0, x1) when ex0 < x1 and
-     ex1 >= x0, closed only on the grid's outer max edges.  So a pruned
-     edge on an edge two leaves share flags one of them, and one on the
-     bbox's max edge still flags the last row or column.  Vertices are no
-     evidence here: a clipped piece's ends are clip points, outside R, so
-     a ring whose sides cross rects without a vertex would flag nothing;
+  2. *open face* — an open face that holds no point outside the bbox
+     meets the interior of R: an edge of its boundary (its ring, or a
+     piece floating inside it) crosses the open rect, or it holds R's
+     centre;
 
 and emits
 
@@ -68,22 +76,25 @@ and emits
      whose window strictly contains the witness bbox: C then traces the
      face exactly itself.
 
-Completeness.  Let F be a global polygon with shell S and centroid owner
-C, and T any tile whose rect S meets, in T's last round.  If S is
-strictly inside T's window, T traces F exactly and owns it (T = C) or
-witnesses it to C, which then traces it exactly.  Otherwise some edge e
-of S meets R and S leaves W; if e is pruned, T flags (2) and runs again,
-so this was not its last round.  If e lies on local cycles (the face on
-F's side of e is then some other face), T may stay resolved, and F
-depends on another tile along S whose rect holds a pruned piece of S.
-A shell covered, in every rect it crosses, by cycles that close inside
-the window on its far side (a large face lined all round by faces
-smaller than the buffer) leaves no evidence in any tile, and its face is
-lost; whole-line rows had the same gap for rings given as separate
-pieces.  Outside that case every cut face keeps some tile flagging until
-its window holds the shell or the round is global, and the last permitted
-round forces buffer >= span, so every still-active tile finishes exact
-(its verdicts are then ignored).
+Completeness.  Let F be a bounded face of the global arrangement.  F is
+open and inside the bbox, so it meets the interior of some rect R, at a
+point p; let T be R's tile, in T's last round.  If p is open in T, its
+open face holds no point outside the bbox (else F would be the unbounded
+face), so T flags (2) and that was not its last round.  So p is closed:
+the local face L around p is bounded by global edges, hence F lies in L.
+If L's shell is strictly inside W, L is F, traced exactly; if not, L is
+an untrusted shell, and T flags (1) when it owns L, or else witnesses L
+to its owner, which runs until its window strictly holds L's bbox and
+with it F's shell.  Either way some tile traces F exactly, owns it or
+witnesses it to F's centroid owner, which then traces it exactly itself.
+The last permitted round forces buffer >= span, so every still-active
+tile finishes exact (its verdicts are then ignored).  A polygon whose
+shell is the CCW ring of a piece that is one simple cycle covers the
+bounded face inside it and is found the same way.  The argument does not
+cover the residual of the CCW ring of a piece with several faces (the
+hole rule's leftover, whose outer side is the unbounded face): that
+polygon is found when a tile's piece of it leaves a residual too, an
+untrusted shell there.
 
 Exactly-once: each tile's final contribution comes from the LAST round it
 ran (a re-run's window is a superset, so its owned trusted output is a
@@ -113,6 +124,8 @@ from geo_polygonize_ray.functions.exchange import (
     exchange,
     map_slices,
 )
+from geo_polygonize_ray.geom.kernels import bbox_many, signed_area_many
+from geo_polygonize_ray.local.graph import PlanarGraph
 from geo_polygonize_ray.pipelines.polygonize import _slices_bbox
 from geo_polygonize_ray.stages.linework import (
     _SALT_SUBS,
@@ -127,13 +140,13 @@ from geo_polygonize_ray.stages.trace import POLYGON_SCHEMA, TilePolygonizer, fla
 RESOLVE_SCHEMA = POLYGON_SCHEMA.append(pa.field("resolved", pa.bool_()))
 
 # poly_id sentinels in RESOLVE_SCHEMA rows
-_CUT_SENTINEL = -1  # tile produced nothing but has cut-cycle risk
+_CUT_SENTINEL = -1  # tile produced nothing but an open face meets its rect
 _WITNESS = -2  # row's tile_id is the CENTROID OWNER of a shell traced elsewhere
 
 
 class EscalatingTilePolygonizer(TilePolygonizer):
     """TilePolygonizer's bucket loop, whose cells also return the unowned
-    shells and pruned edges, with a per-cell step that tags each tile's
+    shells and the traced graph, with a per-cell step that tags each tile's
     output with a ``resolved`` verdict and emits centroid-routed witness
     rows for shells owned by other tiles (soundness rules in the module
     docstring).  One instance per round."""
@@ -154,24 +167,23 @@ class EscalatingTilePolygonizer(TilePolygonizer):
         a = self.assigner
         ax0, ay0, ax1, ay1 = rect
         window = (ax0 - a.buffer, ay0 - a.buffer, ax1 + a.buffer, ay1 + a.buffer)
-        # cut-cycle evidence: a pruned edge meeting the owner rect, tested
-        # half-open like ownership and closed on the grid's outer max edges
-        cx1 = np.nextafter(ax1, np.inf) if ax1 >= a.maxx else ax1
-        cy1 = np.nextafter(ay1, np.inf) if ay1 >= a.maxy else ay1
-        pb = flat["pruned_bbox"]
-        cut_risk = bool(
-            np.any((pb[:, 0] < cx1) & (pb[:, 2] >= ax0) & (pb[:, 1] < cy1) & (pb[:, 3] >= ay0))
-        )
+        graph = flat["graph"]
+        pb = _pruned_boxes(graph)
         t = flat_to_table(flat, tile_id)
         n = t.num_rows
 
-        # trust check: every owned polygon's shell exact (``_trusted``)
-        trusted = _trusted(flat["owned_bbox"], flat["owned_ccw"], window, pb)
-        resolved = bool(trusted.all()) and not cut_risk
+        # resolved: every owned polygon's shell exact (``_trusted``) and no
+        # open face inside the bbox reaching the owner rect (``_open_face``)
+        resolved = bool(_trusted(flat["owned_bbox"], flat["owned_ccw"], window, pb).all())
+        if resolved:
+            # clip points lie on the window edge up to rounding and the snap
+            tol = 2 * self.snap_grid_size + 8 * np.finfo(float).eps * max(map(abs, window))
+            bbox = (a.minx, a.miny, a.maxx, a.maxy)
+            resolved = not _open_face(graph, rect, window, bbox, tol)
 
         parts: list[pa.Table] = []
         if n == 0 and not resolved:
-            # sentinel: a tile with NO output but cut-cycle risk must still
+            # sentinel: a tile with NO output but an open face must still
             # report itself unresolved (missing faces are invisible otherwise)
             parts.append(_sentinel_table(tile_id))
         else:
@@ -246,11 +258,153 @@ def _trusted(bbox: np.ndarray, ccw: np.ndarray, window, pruned: np.ndarray) -> n
     inside the window and, for an outer (CCW) ring, no pruned edge meeting
     its bbox (closed): a chain cut off at the window may hang there."""
     ok = _inside(bbox, window)
-    px0, py0, px1, py1 = pruned.T
-    for i in np.flatnonzero(ok & ccw):
-        x0, y0, x1, y1 = bbox[i]
-        ok[i] = not np.any((px0 <= x1) & (px1 >= x0) & (py0 <= y1) & (py1 >= y0))
+    i = np.flatnonzero(ok & ccw)
+    step = max(1, (1 << 20) // max(len(pruned), 1))  # bounds each (shells, edges) block
+    for lo in range(0, len(i) if len(pruned) else 0, step):
+        b = bbox[i[lo : lo + step], None, :]
+        ok[i[lo : lo + step]] = ~np.any(
+            (pruned[:, 0] <= b[..., 2]) & (pruned[:, 2] >= b[..., 0])
+            & (pruned[:, 1] <= b[..., 3]) & (pruned[:, 3] >= b[..., 1]),
+            axis=1,
+        )
     return ok
+
+
+def _pruned_boxes(graph: PlanarGraph) -> np.ndarray:
+    """(m, 4) [minx, miny, maxx, maxy] boxes of the edges dangle pruning
+    removed."""
+    e = np.flatnonzero(graph.de_marked[0::2])
+    ends = np.stack([graph.edge_src[e], graph.edge_dst[e]])
+    x, y = graph.nodes_x[ends], graph.nodes_y[ends]
+    return np.column_stack([x.min(0), y.min(0), x.max(0), y.max(0)])
+
+
+class _OpenGraph(PlanarGraph):
+    """The open-face graph of ``_open_face``: PlanarGraph's phases, bound in
+    this class body.  It is escalation work, not a phase of the cell's
+    kernel, so polybench's per-phase ``local.*`` spans (which wrap the
+    methods in PlanarGraph's own body) keep counting the kernel alone."""
+
+    __init__ = PlanarGraph.__init__
+    sort_edges = PlanarGraph.sort_edges
+    prune_dangles = PlanarGraph.prune_dangles
+    get_edge_rings = PlanarGraph.get_edge_rings
+
+
+def _open_face(graph: PlanarGraph, rect, window, bbox, tol: float) -> bool:
+    """Open-face evidence (module docstring): does an open face of the
+    traced cell that holds no point outside ``bbox`` meet the interior of
+    the owner rect?  The open faces are traced as the faces of a second,
+    small graph: the open linework (pruned edges and the edges of the CCW
+    outer rings) plus the window frame, keeping the faces whose ring runs
+    along the frame."""
+    live, ring = graph.live_rings
+    x, y = graph.nodes_x, graph.nodes_y
+    s, d = graph.de_src[live], graph.de_dst[live]
+    twice_area = np.bincount(ring, x[s] * y[d] - x[d] * y[s], minlength=ring.max(initial=-1) + 1)
+    outer = twice_area[ring] > 0
+    e = np.union1d(np.flatnonzero(graph.de_marked[0::2]), live[outer] >> 1)
+    a, b = graph.edge_src[e], graph.edge_dst[e]
+    centre = np.array([(rect[0] + rect[2]) / 2]), np.array([(rect[1] + rect[3]) / 2])
+    if not _crosses_open_rect(x[a], y[a], x[b], y[b], rect).any():
+        # no open linework in the rect: it is all open or all closed, and
+        # closed when an outer ring holds its centre
+        h, r = live[outer], ring[outer]
+        s, d = graph.de_src[h], graph.de_dst[h]
+        if _holds(*centre, x[s], y[s], x[d], y[d], r, len(twice_area)).any():
+            return False
+    wx0, wy0, wx1, wy1 = window
+    x, y = np.append(x, [wx0, wx1, wx1, wx0]), np.append(y, [wy0, wy0, wy1, wy1])
+    fa, fb = _frame(x, y, np.union1d(a, b), window, tol)
+    # a frame piece that is an edge of the linework already stays linework
+    key = lambda u, v: np.minimum(u, v) * len(x) + np.maximum(u, v)
+    keep = ~np.isin(key(fa, fb), key(a, b))
+    a, b = np.concatenate([a, fa[keep]]), np.concatenate([b, fb[keep]])
+    frame = np.arange(len(a)) >= len(e)
+    # PlanarGraph's degenerate filter, applied here so edge ids stay put
+    ok = ~((np.abs(x[a] - x[b]) < 1e-12) & (np.abs(y[a] - y[b]) < 1e-12))
+    a, b, frame = a[ok], b[ok], frame[ok]
+
+    g = _OpenGraph(x[a], y[a], x[b], y[b])
+    g.sort_edges()
+    g.prune_dangles()
+    fx, fy, offs = g.get_edge_rings()
+    live, ring = g.live_rings
+    n = len(offs) - 1
+    on_frame = np.zeros(n, dtype=bool)
+    on_frame[ring[frame[live >> 1]]] = True
+    area = signed_area_many(fx, fy, offs)
+    rx0, ry0, rx1, ry1 = bbox_many(fx, fy, offs)
+    bx0, by0, bx1, by1 = bbox
+    open_ = on_frame & (area < 0)
+    open_ &= (rx0 >= bx0) & (ry0 >= by0) & (rx1 <= bx1) & (ry1 <= by1)
+    if not open_.any():
+        return False
+    # the outlines of the pieces the frame does not reach: holes of faces
+    floating = ~on_frame & (area > 0)
+    ring_at = np.repeat(np.arange(n), np.diff(offs))
+    last = np.zeros(len(fx), dtype=bool)
+    last[offs[1:] - 1] = True
+    p = np.flatnonzero((open_ | floating)[ring_at] & ~last)  # edge p -> p + 1
+    edges = fx[p], fy[p], fx[p + 1], fy[p + 1], ring_at[p]
+    cross = _crosses_open_rect(*edges[:4], rect)
+    if open_[edges[4][cross]].any():
+        return True
+    # a floating piece crossing the rect borders the open face it lies in
+    k = np.unique(edges[4][cross])
+    o = open_[edges[4]]
+    if len(k) and _holds(fx[offs[k]], fy[offs[k]], *(v[o] for v in edges), n)[:, open_].any():
+        return True
+    # no open face's boundary crosses the rect: one meets it iff it holds
+    # the centre, outside every floating piece
+    c = _holds(*centre, *edges, n)
+    return bool(c[0, open_].any() and not c[0, floating].any())
+
+
+def _holds(px, py, xa, ya, xb, yb, ring, n: int) -> np.ndarray:
+    """(points, n) mask: which of the n rings, given as edges (xa, ya) ->
+    (xb, yb) with their ring ids, hold each point (crossing parity)."""
+    px, py = px[:, None], py[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xc = xa + (py - ya) * (xb - xa) / (yb - ya)
+    i, j = np.nonzero(((ya > py) != (yb > py)) & (xc > px))
+    hits = np.zeros((len(px), n), dtype=np.int64)
+    np.add.at(hits, (i, ring[j]), 1)
+    return hits % 2 == 1
+
+
+def _frame(x: np.ndarray, y: np.ndarray, ids: np.ndarray, window, tol: float):
+    """The window frame as segments (i, j) into ``x``/``y``, whose last four
+    points are the window corners: each side chains, in order, its corners
+    and the nodes ``ids`` within ``tol`` of it.  A node within ``tol`` of a
+    corner stands in for the corner."""
+    wx0, wy0, wx1, wy1 = window
+    corner = np.arange(len(x) - 4, len(x))
+    near = (np.abs(x[ids, None] - x[corner]) <= tol) & (np.abs(y[ids, None] - y[corner]) <= tol)
+    pts = np.concatenate([ids, corner[~near.any(axis=0)]])
+    px, py = x[pts], y[pts]
+    ends = []
+    for across, along, at, lo, hi in (
+        (px, py, wx0, wy0, wy1), (px, py, wx1, wy0, wy1),
+        (py, px, wy0, wx0, wx1), (py, px, wy1, wx0, wx1),
+    ):
+        k = np.flatnonzero((np.abs(across - at) <= tol) & (along >= lo - tol) & (along <= hi + tol))
+        k = pts[k[np.argsort(along[k])]]
+        ends.append(np.stack([k[:-1], k[1:]]))
+    fa, fb = np.unique(np.concatenate(ends, axis=1), axis=1)
+    return fa, fb
+
+
+def _crosses_open_rect(x0, y0, x1, y1, rect) -> np.ndarray:
+    """Which segments meet the open rect (separating axes: both axes, and
+    the segment's line with the four corners strictly on both sides)."""
+    rx0, ry0, rx1, ry1 = rect
+    hit = (np.minimum(x0, x1) < rx1) & (np.maximum(x0, x1) > rx0)
+    hit &= (np.minimum(y0, y1) < ry1) & (np.maximum(y0, y1) > ry0)
+    dx, dy = x1 - x0, y1 - y0
+    side = np.stack([dx * (cy - y0) - dy * (cx - x0) for cx, cy in
+                     ((rx0, ry0), (rx1, ry0), (rx1, ry1), (rx0, ry1))])
+    return hit & (side.min(axis=0) < 0) & (side.max(axis=0) > 0)
 
 
 def _prefilter(t: pa.Table, assigner: SaltedTileAssigner, keep) -> pa.Table:
@@ -417,7 +571,8 @@ def polygonize_dataset_adaptive(
 
         verdicts = ray.get([_verdicts_task.remote(ref) for ref in refs])
         # a global-window run is exact by construction; verdicts (e.g.
-        # cut_risk from TRUE dangles) no longer indicate missing faces
+        # an open face that is the unbounded one) no longer indicate
+        # missing faces
         unresolved: set[int] = set()
         if not final_round:
             unresolved = set(np.concatenate([u for u, _ in verdicts]).tolist())

@@ -133,13 +133,12 @@ class TestAdaptiveEscalation:
         assert sorted(out["n_holes"]) == [0]
 
     def test_ring_sides_cross_rects_without_vertices(self):
-        """Pruned-edge evidence: a 50x50 ring given as one closed linestring
-        whose corners each sit on a 1x1 cell, tile 10.  Clipped to a window,
-        every side piece ends at clip points outside the owner rect and the
-        corners stay on cycles, so no pruned VERTEX lies in any rect; the
-        pruned side pieces crossing the rects flag the tiles instead.
-        Without them the 2500-area face (owned by an empty centre tile) is
-        lost."""
+        """A 50x50 ring given as one closed linestring whose corners each
+        sit on a 1x1 cell, tile 10.  Clipped to a window, every side piece
+        ends at clip points outside the owner rect and the corners stay on
+        cycles, so no pruned VERTEX lies in any rect; the open face inside
+        the ring flags the tiles instead.  Without it the 2496-area face
+        (owned by an empty centre tile) is lost."""
         sq = lambda a, b: ls((a, a), (b, a), (b, b), (a, b), (a, a))
         box = lambda x, y: ls((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1), (x, y))
         lines = [sq(5, 55), box(5, 5), box(54, 5), box(54, 54), box(5, 54)]
@@ -151,12 +150,12 @@ class TestAdaptiveEscalation:
         assert area_holes(consume(out)) == local
 
     def test_ring_on_max_edges(self):
-        """Pruned edges on the grid's outer max edges count for the last
-        row and column.  The square [30, 60]^2 has its top and right sides
-        on the bbox's max edges and its left and bottom sides lined outside
-        by 1x1 cells, which close inside every window, so its only pruned
-        pieces lie on x = 60 or y = 60: a half-open test would find them in
-        no owner rect, and the 900-area face would be lost."""
+        """The square [30, 60]^2 has its top and right sides on the bbox's
+        max edges and its left and bottom sides lined outside by 1x1 cells,
+        which close inside every window: its only pruned pieces lie on
+        x = 60 or y = 60, in no owner rect's interior.  The open face
+        inside it still meets the rects it covers, so the 900-area face is
+        not lost."""
         lines = [ls((30, 30), (60, 30), (60, 60), (30, 60), (30, 30))]
         lines += [ls((29, 29), (29, 60)), ls((29, 29), (60, 29))]
         lines += [ls((29, v), (30, v)) for v in range(30, 61)]
@@ -166,6 +165,29 @@ class TestAdaptiveEscalation:
         cfg = PipelineConfig(tile_size=10.0, tile_buffer=1.0)
         ds = rd.from_arrow(linework_table(lines))
         out = polygonize_dataset_adaptive(ds, cfg, bbox=(0, 0, 60, 60))
+        assert area_holes(consume(out)) == local
+
+    @pytest.mark.parametrize("sides", [False, True])
+    def test_ring_lined_by_small_cells(self, sides):
+        """A 60x60 ring wrapped all round in a band of 1x1 cells (a lake
+        ringed by parcels), tile 10 / buffer 1, the ring given as one
+        linestring or, with the band's outer ring too, as four sides each.
+        In every window the ring's pieces lie on closed cells, so nothing
+        is pruned in any rect and every traced face is exact; only the
+        open face inside the ring shows the 3600-area face, which no
+        window holds until the rounds grow.  (Whole-line rows lost the
+        four-sides case: no tile got the whole ring.)"""
+        n = 60
+        rings = [ls((a, a), (b, a), (b, b), (a, b), (a, a)) for a, b in ((0, n), (-1, n + 1))]
+        lines = [r[i : i + 2] for r in rings for i in range(4)] if sides else rings
+        for t in range(n + 1):
+            lines += [ls((t, 0), (t, -1)), ls((t, n), (t, n + 1))]
+            lines += [ls((0, t), (-1, t)), ls((n, t), (n + 1, t))]
+        local = local_area_holes(lines)
+        assert (3600.0, 0) in local and len(local) == 245
+        cfg = PipelineConfig(tile_size=10.0, tile_buffer=1.0)
+        ds = rd.from_arrow(linework_table(lines))
+        out = polygonize_dataset_adaptive(ds, cfg, bbox=(-1, -1, n + 1, n + 1))
         assert area_holes(consume(out)) == local
 
     def test_nested_giant_rings(self):
@@ -274,3 +296,56 @@ def test_round_map_spreads_active_tiles():
     out0, bucket0 = _round_map(cols, assigner, None, 16, t)
     pairs = set(zip(out0["tile_id"].to_numpy().tolist(), bucket0.tolist()))
     assert len(pairs) == 16 and len({b for _, b in pairs}) == 16
+
+
+class TestOpenFace:
+    """``_open_face`` on single cells: an open face inside the bbox that
+    meets the owner rect's interior is evidence; one that reaches outside
+    the bbox, or a rect covered by closed faces, is not."""
+
+    @staticmethod
+    def graph(lines):
+        from geo_polygonize_ray.geom.kernels import explode_index
+        from geo_polygonize_ray.local.polygonize import polygonize_soup
+
+        pts = [np.asarray(p, dtype=np.float64) for p in lines]
+        xy = np.concatenate(pts) if pts else np.empty((0, 2))
+        offs = np.concatenate([[0], np.cumsum([len(p) for p in pts])]).astype(np.int64)
+        i, _ = explode_index(offs)
+        flat = polygonize_soup(
+            xy[i, 0], xy[i, 1], xy[i + 1, 0], xy[i + 1, 1],
+            node_input=True, owner_rect=(10, 10, 20, 20), with_unowned=True,
+        )
+        return flat["graph"]
+
+    def open_face(self, lines, bbox):
+        from geo_polygonize_ray.stages.stitch import _open_face
+
+        return _open_face(self.graph(lines), (10, 10, 20, 20), (8, 8, 22, 22), bbox, 1e-9)
+
+    def test_empty_cell(self):
+        # inside the bbox the empty window may be a large face's inside
+        assert self.open_face([], (0, 0, 100, 100))
+        # a window reaching past the bbox holds the unbounded face
+        assert not self.open_face([], (9, 9, 100, 100))
+
+    def test_rect_covered_by_closed_faces(self):
+        cover = [ls((9, 9), (21, 9), (21, 21), (9, 21), (9, 9))]
+        assert not self.open_face(cover, (0, 0, 100, 100))
+        # a chain across the window does not open the covered rect
+        assert not self.open_face(cover + [ls((8, 15), (22, 15))], (0, 0, 100, 100))
+
+    def test_chain_cuts_off_the_bbox_side(self):
+        """Only the window's left side lies outside the bbox.  A chain from
+        the bottom to the top edge of the window at x = 9 keeps the rect
+        from the outside; one at x = 21 does not."""
+        bbox = (8.5, 0, 100, 100)
+        assert self.open_face([ls((9, 8), (9, 22))], bbox)
+        assert not self.open_face([ls((21, 8), (21, 22))], bbox)
+
+    def test_open_face_crossing_the_rect(self):
+        """A closed square covers the rect's centre, but the open face
+        around it crosses the rect."""
+        sq = [ls((14, 14), (16, 14), (16, 16), (14, 16), (14, 14))]
+        assert self.open_face(sq, (0, 0, 100, 100))
+        assert not self.open_face(sq, (9, 9, 100, 100))
