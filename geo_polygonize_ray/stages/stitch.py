@@ -29,12 +29,18 @@ the boundary of W without crossing S, which would be a local vertex; so
 the chains there are complete, their dangles are global dangles, and at
 each vertex of S the local angular order on S's bounded side is the
 global one.  Tracing follows that order, so S bounds a face of the global
-arrangement.  Its holes lie inside S's bbox and are global rings too, and
-a local shell that is not global touches the boundary of W and so cannot
-nest inside S: holes, area and centroid come out as they do globally.
-Hence
+arrangement.  A local shell that is not global touches the boundary of W
+and so cannot nest inside S.  The reference gives a shell each hole ring
+whose centroid it holds (and no smaller shell does), so a hole ring can
+leave S's bbox and even W; one that leaves W is cut there, and the
+bounded face on its inner side is open where it is cut.  So S is trusted
+only when its bbox meets no open face's bbox (``_trusted``): then the
+holes seen are the global ones unless a hole ring lies wholly outside W
+or its open part stays clear of S's bbox, which the centroid rule allows
+but which this argument does not cover.  Hence, up to that case,
 
-    a polygon whose shell bbox is strictly inside the window is EXACT.
+    a polygon whose shell bbox is strictly inside the window and meets
+    no open face is EXACT.
 
 A CCW shell (the outer ring of a connected piece, kept when the
 reference's hole rule leaves it a residual) is traced on its unbounded
@@ -51,7 +57,7 @@ every open face runs along the frame: a region of W bounded by local
 edges alone is enclosed by a local cycle, so it is closed.  An open face
 that holds a point outside the bbox lies in the global unbounded face: a
 path inside it crosses no linework of W, which is the global linework
-there, and outside the bbox there is none.  ``_open_face`` traces the open
+there, and outside the bbox there is none.  ``_open_faces`` traces the open
 faces as the faces of a second graph, the open linework plus the frame
 (the frame chains the corners of W and every node within rounding of its
 edges), and keeps those whose ring runs along the frame.
@@ -172,14 +178,13 @@ class EscalatingTilePolygonizer(TilePolygonizer):
         t = flat_to_table(flat, tile_id)
         n = t.num_rows
 
+        # clip points lie on the window edge up to rounding and the snap
+        tol = 2 * self.snap_grid_size + 8 * np.finfo(float).eps * max(map(abs, window))
+        of = _open_faces(graph, window, (a.minx, a.miny, a.maxx, a.maxy), tol)
         # resolved: every owned polygon's shell exact (``_trusted``) and no
-        # open face inside the bbox reaching the owner rect (``_open_face``)
-        resolved = bool(_trusted(flat["owned_bbox"], flat["owned_ccw"], window, pb).all())
-        if resolved:
-            # clip points lie on the window edge up to rounding and the snap
-            tol = 2 * self.snap_grid_size + 8 * np.finfo(float).eps * max(map(abs, window))
-            bbox = (a.minx, a.miny, a.maxx, a.maxy)
-            resolved = not _open_face(graph, rect, window, bbox, tol)
+        # open face inside the bbox reaching the owner rect
+        trusted = _trusted(flat["owned_bbox"], flat["owned_ccw"], window, pb, of)
+        resolved = bool(trusted.all()) and not _meets_open_face(of, rect)
 
         parts: list[pa.Table] = []
         if n == 0 and not resolved:
@@ -192,7 +197,7 @@ class EscalatingTilePolygonizer(TilePolygonizer):
         # centroid-routed witnesses for unowned shells
         ub = flat["unowned_bbox"]
         if len(ub):
-            u_trust = _trusted(ub, flat["unowned_ccw"], window, pb)
+            u_trust = _trusted(ub, flat["unowned_ccw"], window, pb, of)
             owner = a.owner_leaves(flat["unowned_cx"], flat["unowned_cy"])
             covered_r0 = _inside(ub, a.leaf_windows(owner, self.base_buffer))
             emit = np.flatnonzero(~(u_trust & covered_r0) & (owner != tile_id))
@@ -253,21 +258,34 @@ def _inside(bbox: np.ndarray, w) -> np.ndarray:
     return (bbox[:, 0] > w[0]) & (bbox[:, 1] > w[1]) & (bbox[:, 2] < w[2]) & (bbox[:, 3] < w[3])
 
 
-def _trusted(bbox: np.ndarray, ccw: np.ndarray, window, pruned: np.ndarray) -> np.ndarray:
+def _trusted(bbox: np.ndarray, ccw: np.ndarray, window, pruned: np.ndarray, of) -> np.ndarray:
     """Which shells are exact (module docstring, Trust): bbox strictly
-    inside the window and, for an outer (CCW) ring, no pruned edge meeting
-    its bbox (closed): a chain cut off at the window may hang there."""
+    inside the window, meeting no open face's bbox (a hole given to the
+    shell by its centroid may run out of the window there) and, for an
+    outer (CCW) ring, no pruned edge's bbox (a chain cut off at the
+    window may hang there); boxes meet when they overlap, closed."""
     ok = _inside(bbox, window)
+    if of is not None:
+        i = np.flatnonzero(ok)
+        ok[i] = ~_meets_any(bbox[i], of[-1])
     i = np.flatnonzero(ok & ccw)
-    step = max(1, (1 << 20) // max(len(pruned), 1))  # bounds each (shells, edges) block
-    for lo in range(0, len(i) if len(pruned) else 0, step):
-        b = bbox[i[lo : lo + step], None, :]
-        ok[i[lo : lo + step]] = ~np.any(
-            (pruned[:, 0] <= b[..., 2]) & (pruned[:, 2] >= b[..., 0])
-            & (pruned[:, 1] <= b[..., 3]) & (pruned[:, 3] >= b[..., 1]),
+    ok[i] = ~_meets_any(bbox[i], pruned)
+    return ok
+
+
+def _meets_any(boxes: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Which (k, 4) boxes overlap (closed) any of the (m, 4) ``others``, in
+    (boxes, others) blocks of at most 2^20."""
+    out = np.zeros(len(boxes), dtype=bool)
+    step = max(1, (1 << 20) // max(len(others), 1))
+    for lo in range(0, len(boxes) if len(others) else 0, step):
+        b = boxes[lo : lo + step, None, :]
+        out[lo : lo + step] = np.any(
+            (others[:, 0] <= b[..., 2]) & (others[:, 2] >= b[..., 0])
+            & (others[:, 1] <= b[..., 3]) & (others[:, 3] >= b[..., 1]),
             axis=1,
         )
-    return ok
+    return out
 
 
 def _pruned_boxes(graph: PlanarGraph) -> np.ndarray:
@@ -280,7 +298,7 @@ def _pruned_boxes(graph: PlanarGraph) -> np.ndarray:
 
 
 class _OpenGraph(PlanarGraph):
-    """The open-face graph of ``_open_face``: PlanarGraph's phases, bound in
+    """The open-face graph of ``_open_faces``: PlanarGraph's phases, bound in
     this class body.  It is escalation work, not a phase of the cell's
     kernel, so polybench's per-phase ``local.*`` spans (which wrap the
     methods in PlanarGraph's own body) keep counting the kernel alone."""
@@ -291,28 +309,21 @@ class _OpenGraph(PlanarGraph):
     get_edge_rings = PlanarGraph.get_edge_rings
 
 
-def _open_face(graph: PlanarGraph, rect, window, bbox, tol: float) -> bool:
-    """Open-face evidence (module docstring): does an open face of the
-    traced cell that holds no point outside ``bbox`` meet the interior of
-    the owner rect?  The open faces are traced as the faces of a second,
-    small graph: the open linework (pruned edges and the edges of the CCW
+def _open_faces(graph: PlanarGraph, window, bbox, tol: float):
+    """The open faces of the traced cell (module docstring) that hold no
+    point outside ``bbox``, or None: traced as the faces of a second,
+    small graph, the open linework (pruned edges and the edges of the CCW
     outer rings) plus the window frame, keeping the faces whose ring runs
-    along the frame."""
+    along the frame.  Returns the edges (xa, ya, xb, yb, ring) of those
+    rings and of the floating pieces (rings the frame does not reach:
+    holes of faces), the masks of both over the rings, and the (m, 4)
+    bboxes of the open rings."""
     live, ring = graph.live_rings
     x, y = graph.nodes_x, graph.nodes_y
     s, d = graph.de_src[live], graph.de_dst[live]
     twice_area = np.bincount(ring, x[s] * y[d] - x[d] * y[s], minlength=ring.max(initial=-1) + 1)
-    outer = twice_area[ring] > 0
-    e = np.union1d(np.flatnonzero(graph.de_marked[0::2]), live[outer] >> 1)
+    e = np.union1d(np.flatnonzero(graph.de_marked[0::2]), live[twice_area[ring] > 0] >> 1)
     a, b = graph.edge_src[e], graph.edge_dst[e]
-    centre = np.array([(rect[0] + rect[2]) / 2]), np.array([(rect[1] + rect[3]) / 2])
-    if not _crosses_open_rect(x[a], y[a], x[b], y[b], rect).any():
-        # no open linework in the rect: it is all open or all closed, and
-        # closed when an outer ring holds its centre
-        h, r = live[outer], ring[outer]
-        s, d = graph.de_src[h], graph.de_dst[h]
-        if _holds(*centre, x[s], y[s], x[d], y[d], r, len(twice_area)).any():
-            return False
     wx0, wy0, wx1, wy1 = window
     x, y = np.append(x, [wx0, wx1, wx1, wx0]), np.append(y, [wy0, wy0, wy1, wy1])
     fa, fb = _frame(x, y, np.union1d(a, b), window, tol)
@@ -339,24 +350,34 @@ def _open_face(graph: PlanarGraph, rect, window, bbox, tol: float) -> bool:
     open_ = on_frame & (area < 0)
     open_ &= (rx0 >= bx0) & (ry0 >= by0) & (rx1 <= bx1) & (ry1 <= by1)
     if not open_.any():
-        return False
-    # the outlines of the pieces the frame does not reach: holes of faces
+        return None
     floating = ~on_frame & (area > 0)
     ring_at = np.repeat(np.arange(n), np.diff(offs))
     last = np.zeros(len(fx), dtype=bool)
     last[offs[1:] - 1] = True
     p = np.flatnonzero((open_ | floating)[ring_at] & ~last)  # edge p -> p + 1
     edges = fx[p], fy[p], fx[p + 1], fy[p + 1], ring_at[p]
+    boxes = np.column_stack([rx0, ry0, rx1, ry1])[open_]
+    return edges, open_, floating, n, fx[offs[:-1]], fy[offs[:-1]], boxes
+
+
+def _meets_open_face(of, rect) -> bool:
+    """Open-face evidence (module docstring): does one of the open faces
+    ``of`` (``_open_faces``) meet the interior of the owner rect?"""
+    if of is None:
+        return False
+    edges, open_, floating, n, first_x, first_y, _ = of
     cross = _crosses_open_rect(*edges[:4], rect)
     if open_[edges[4][cross]].any():
         return True
     # a floating piece crossing the rect borders the open face it lies in
     k = np.unique(edges[4][cross])
     o = open_[edges[4]]
-    if len(k) and _holds(fx[offs[k]], fy[offs[k]], *(v[o] for v in edges), n)[:, open_].any():
+    if len(k) and _holds(first_x[k], first_y[k], *(v[o] for v in edges), n)[:, open_].any():
         return True
     # no open face's boundary crosses the rect: one meets it iff it holds
     # the centre, outside every floating piece
+    centre = np.array([(rect[0] + rect[2]) / 2]), np.array([(rect[1] + rect[3]) / 2])
     c = _holds(*centre, *edges, n)
     return bool(c[0, open_].any() and not c[0, floating].any())
 

@@ -259,12 +259,14 @@ def _polylines_and_rings(seed):
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 21])
 def test_adaptive_matches_local_on_large_rings(seed):
     """Escalation on clipped segment rows: for random polylines and closed
     rings far larger than the round-0 window (tile 10, buffer 5), the
     adaptive run and the local run give the same polygon count and area
-    sum, and at least one escalation round runs."""
+    sum, and at least one escalation round runs.  In seed 21 a shell's
+    hole ring (given by its centroid) runs out of a window that holds the
+    shell: a shell whose bbox meets an open face is not trusted."""
     import ray.data as rd
 
     from geo_polygonize_ray.config import PipelineConfig

@@ -299,7 +299,7 @@ def test_round_map_spreads_active_tiles():
 
 
 class TestOpenFace:
-    """``_open_face`` on single cells: an open face inside the bbox that
+    """Open faces of single cells: an open face inside the bbox that
     meets the owner rect's interior is evidence; one that reaches outside
     the bbox, or a rect covered by closed faces, is not."""
 
@@ -319,9 +319,10 @@ class TestOpenFace:
         return flat["graph"]
 
     def open_face(self, lines, bbox):
-        from geo_polygonize_ray.stages.stitch import _open_face
+        from geo_polygonize_ray.stages.stitch import _meets_open_face, _open_faces
 
-        return _open_face(self.graph(lines), (10, 10, 20, 20), (8, 8, 22, 22), bbox, 1e-9)
+        of = _open_faces(self.graph(lines), (8, 8, 22, 22), bbox, 1e-9)
+        return _meets_open_face(of, (10, 10, 20, 20))
 
     def test_empty_cell(self):
         # inside the bbox the empty window may be a large face's inside
