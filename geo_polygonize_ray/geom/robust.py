@@ -139,13 +139,3 @@ def orient2d_sign_arrays(
             )
         sign[idx] = exact_signs
     return sign
-
-
-def cross_sign_arrays(ux: np.ndarray, uy: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """Certain sign of the 2D cross product u x v (vectors already differenced).
-
-    sign(orient2d(c, a, b)) == cross_sign(a - c, b - c)
-    (reference src/utils/mod.rs:66-75).  Exact *given* u and v.
-    """
-    z = np.zeros_like(np.asarray(ux, dtype=np.float64))
-    return orient2d_sign_arrays(ux, uy, vx, vy, z, z)
