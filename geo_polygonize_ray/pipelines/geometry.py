@@ -12,6 +12,7 @@ from geo_polygonize_ray.pipelines.images import image_roundtrip_pipeline
 from geo_polygonize_ray.pipelines.polygonize import (
     polygonize_dataset,
     polygonize_table_local,
+    runs_local,
 )
 from geo_polygonize_ray.sources.fixtures import (
     cached_image_table,
@@ -24,11 +25,7 @@ from geo_polygonize_ray.sources.fixtures import (
 def _polygonize_summary(table, cfg: PipelineConfig, bbox=None) -> pd.DataFrame:
     """Dispatch: sub-threshold untiled jobs run fully in-process (no Ray —
     the latency path); everything else goes through the Dataset pipeline."""
-    if (
-        not cfg.tiled()
-        and cfg.local_fastpath_rows
-        and table.num_rows <= cfg.local_fastpath_rows
-    ):
+    if runs_local(cfg, table.num_rows):
         return _poly_summary(polygonize_table_local(table, cfg))
     import ray.data as rd
 

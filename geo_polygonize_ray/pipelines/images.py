@@ -158,6 +158,22 @@ def _roundtrip_piece(
     return pa.concat_tables([stage(t.slice(lo, step)) for lo in range(0, rows, step)])
 
 
+def table_pieces(path: str) -> tuple[pads.Dataset, list[tuple[str, int, int, int]]]:
+    """The Parquet table at ``path`` (one file or a directory of them) and
+    its pieces (file, row group, first row, rows), listed from the file
+    footers alone: one per row group, and when there are fewer row groups
+    than cluster CPUs they are cut into row ranges, so a single-file table
+    still uses every CPU."""
+    ds = pads.dataset(path, format="parquet")
+    groups = [
+        (frag.path, rg.id, rg.num_rows)
+        for frag in sorted(ds.get_fragments(), key=lambda f: f.path)
+        for rg in frag.row_groups
+    ]
+    ranges = row_ranges([n for _, _, n in groups], cluster_cpus())
+    return ds, [(*groups[i][:2], lo, n) for i, lo, n in ranges]
+
+
 def image_roundtrip_pipeline(
     image_table_path: str,
     cfg: PipelineConfig | None = None,
@@ -167,24 +183,14 @@ def image_roundtrip_pipeline(
     """Image table (one Parquet file or a directory of them) -> one result
     row per image (or, with ``emit_polygons``, one row per polygon).
 
-    The driver reads only the file footers: every row group is one task,
-    and when there are fewer row groups than cluster CPUs they are cut into
-    row ranges, so a single-file table still uses every CPU.  Each task
-    reads its rows and runs ``ImageRoundtrip`` over ``batch_size``-row
-    slices (``None``: the whole piece in one slab-batched call).
+    The driver reads only the file footers: every piece (``table_pieces``)
+    is one task, which reads its rows and runs ``ImageRoundtrip`` over
+    ``batch_size``-row slices (``None``: the whole piece in one
+    slab-batched call).
     """
     cfg = cfg or PipelineConfig()
     stage = ImageRoundtrip(cfg.psnr_threshold_db, emit_polygons)
-    ds = pads.dataset(image_table_path, format="parquet")
-    groups = [
-        (frag.path, rg.id, rg.num_rows)
-        for frag in sorted(ds.get_fragments(), key=lambda f: f.path)
-        for rg in frag.row_groups
-    ]
-    pieces = [
-        (*groups[i][:2], lo, n)
-        for i, lo, n in row_ranges([n for _, _, n in groups], cluster_cpus())
-    ]
+    ds, pieces = table_pieces(image_table_path)
     if pieces:
         refs = map_refs(_roundtrip_piece, pieces, ds.filesystem, stage, batch_size)
     else:  # no rows: the stage's own typed empty output

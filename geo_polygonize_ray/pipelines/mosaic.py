@@ -18,141 +18,136 @@ whether the region continues into the neighbor, so
 T-junctions where interior edges meet seam runs are left to the per-tile
 snap noder (improper single-point intersections register splits), so the
 seam stage needs no knowledge of interior structure.
+
+Every stage is a plain Ray task and every intermediate an object ref: one
+vectorize task per piece of the image table (``images.table_pieces``)
+returns the piece's linework and its strips, the seam join is one
+``functions/exchange.exchange`` over the strips, and the escalation rounds
+run on the linework and seam slices.  The only Dataset is the result.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
-
+import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 from geo_polygonize_ray.config import PipelineConfig
+from geo_polygonize_ray.functions.agg import _route
+from geo_polygonize_ray.functions.exchange import exchange, exchange_buckets, fetch
 from geo_polygonize_ray.functions.sketch import splitmix64
+from geo_polygonize_ray.pipelines.images import _roundtrip_piece, table_pieces
+from geo_polygonize_ray.pipelines.polygonize import polygonize_table_local
 from geo_polygonize_ray.raster.codec import decode_image
 from geo_polygonize_ray.raster.vectorize import labels_to_linework, rgb_to_labels
+from geo_polygonize_ray.stages.stitch import polygonize_slices_adaptive
 
 
 def _image_index(image_id: str) -> int:
     return int(image_id.rsplit("-", 1)[1])
 
 
-class MosaicVectorizer:
-    """Per-image stage: decode -> labels -> interior linework (global
-    coords) + seam strips.  Emits a union table with a ``kind`` column:
-    'line' rows carry xs/ys; 'strip' rows carry seam_key/side/colors."""
+def _vectorize(batch: pa.Table, n_cols: int, n_rows: int) -> tuple[pa.Table, pa.Table]:
+    """Image rows -> decode -> labels -> (interior linework in global
+    coords, seam strips).  Linework rows carry xs/ys; strip rows carry
+    seam_key/side/colors and the strip's anchor point in xs/ys."""
+    lx0, ly0, lx1, ly1 = [], [], [], []
+    strips = {"seam_key": [], "side": [], "colors": [], "xs": [], "ys": []}
+    for i in range(batch.num_rows):
+        img_idx = _image_index(batch["image_id"][i].as_py())
+        w = batch["w"][i].as_py()
+        h = batch["h"][i].as_py()
+        img = decode_image(batch["bytes"][i].as_py(), w, h, batch["fmt"][i].as_py())
+        labels = rgb_to_labels(img)
+        col, row = img_idx % n_cols, img_idx // n_cols
+        ox, oy = col * w, row * h
 
-    def __init__(self, n_cols: int, n_rows: int):
-        self.n_cols = n_cols
-        self.n_rows = n_rows
-        self.__name__ = "MosaicVectorizer"
+        x0, y0, x1, y1 = labels_to_linework(labels)
+        # drop border runs on sides shared with a neighbor (the seam
+        # stage owns those); keep borders on the mosaic's outer edge
+        keep = np.ones(len(x0), dtype=bool)
+        if col > 0:
+            keep &= ~((x0 == 0) & (x1 == 0))
+        if col < n_cols - 1:
+            keep &= ~((x0 == w) & (x1 == w))
+        if row > 0:
+            keep &= ~((y0 == 0) & (y1 == 0))
+        if row < n_rows - 1:
+            keep &= ~((y0 == h) & (y1 == h))
+        lx0.append(x0[keep].astype(np.float64) + ox)
+        ly0.append(y0[keep].astype(np.float64) + oy)
+        lx1.append(x1[keep].astype(np.float64) + ox)
+        ly1.append(y1[keep].astype(np.float64) + oy)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        # interior 'line' rows: per-image numpy arrays accumulated, then ONE
-        # vectorized ListArray assembly (round-1 judge flagged the previous
-        # per-segment Python append loop; same flat pattern as
-        # stages/linework)
-        lx0, ly0, lx1, ly1 = [], [], [], []
-        strips = {"seam_key": [], "side": [], "colors": [], "xs": [], "ys": []}
-        for i in range(batch.num_rows):
-            img_idx = _image_index(batch["image_id"][i].as_py())
-            w = batch["w"][i].as_py()
-            h = batch["h"][i].as_py()
-            img = decode_image(batch["bytes"][i].as_py(), w, h, batch["fmt"][i].as_py())
-            labels = rgb_to_labels(img)
-            col, row = img_idx % self.n_cols, img_idx // self.n_cols
-            ox, oy = col * w, row * h
+        # seam strips: vertical seam v(col,row) sits between (col-1,row)
+        # and (col,row); horizontal seam h(col,row) between (col,row-1)
+        # and (col,row).  Key encodes orientation + position.
+        def strip(key, side, colors, sx, sy):
+            strips["seam_key"].append(key)
+            strips["side"].append(side)
+            # keep the pixel row/column as numpy; ONE ListArray is built
+            # from offsets below, with no per-pixel Python
+            strips["colors"].append(np.ascontiguousarray(colors, dtype=np.int64))
+            strips["xs"].append([float(sx)])
+            strips["ys"].append([float(sy)])
 
-            x0, y0, x1, y1 = labels_to_linework(labels)
-            # drop border runs on sides shared with a neighbor (the seam
-            # stage owns those); keep borders on the mosaic's outer edge
-            keep = np.ones(len(x0), dtype=bool)
-            if col > 0:
-                keep &= ~((x0 == 0) & (x1 == 0))
-            if col < self.n_cols - 1:
-                keep &= ~((x0 == w) & (x1 == w))
-            if row > 0:
-                keep &= ~((y0 == 0) & (y1 == 0))
-            if row < self.n_rows - 1:
-                keep &= ~((y0 == h) & (y1 == h))
-            lx0.append(x0[keep].astype(np.float64) + ox)
-            ly0.append(y0[keep].astype(np.float64) + oy)
-            lx1.append(x1[keep].astype(np.float64) + ox)
-            ly1.append(y1[keep].astype(np.float64) + oy)
+        # numeric seam keys (NEVER Python hash() of strings — salted per
+        # process): orientation bit | seam column | seam row
+        def vkey(c, r):
+            return (1 << 40) | (c << 20) | r
 
-            # seam strips: vertical seam v(col,row) sits between (col-1,row)
-            # and (col,row); horizontal seam h(col,row) between (col,row-1)
-            # and (col,row).  Key encodes orientation + position.
-            def strip(key, side, colors, sx, sy):
-                strips["seam_key"].append(key)
-                strips["side"].append(side)
-                # keep the pixel row/column as numpy; ONE ListArray is built
-                # from offsets below (round-2 judge #9: the per-pixel
-                # [int(v) ...] list comprehension was O(edge pixels) Python)
-                strips["colors"].append(np.ascontiguousarray(colors, dtype=np.int64))
-                strips["xs"].append([float(sx)])
-                strips["ys"].append([float(sy)])
+        def hkey(c, r):
+            return (2 << 40) | (c << 20) | r
 
-            # numeric seam keys (NEVER Python hash() of strings — salted per
-            # process): orientation bit | seam column | seam row
-            def vkey(c, r):
-                return (1 << 40) | (c << 20) | r
+        if col > 0:  # my left edge -> vertical seam at global x = ox
+            strip(vkey(col, row), "right", labels[:, 0], ox, oy)
+        if col < n_cols - 1:  # my right edge -> seam at ox + w
+            strip(vkey(col + 1, row), "left", labels[:, -1], ox + w, oy)
+        if row > 0:
+            strip(hkey(col, row), "bottom", labels[0, :], ox, oy)
+        if row < n_rows - 1:
+            strip(hkey(col, row + 1), "top", labels[-1, :], ox, oy + h)
 
-            def hkey(c, r):
-                return (2 << 40) | (c << 20) | r
-
-            if col > 0:  # my left edge -> vertical seam at global x = ox
-                strip(vkey(col, row), "right", labels[:, 0], ox, oy)
-            if col < self.n_cols - 1:  # my right edge -> seam at ox + w
-                strip(vkey(col + 1, row), "left", labels[:, -1], ox + w, oy)
-            if row > 0:
-                strip(hkey(col, row), "bottom", labels[0, :], ox, oy)
-            if row < self.n_rows - 1:
-                strip(hkey(col, row + 1), "top", labels[-1, :], ox, oy + h)
-
-        ax0 = np.concatenate(lx0) if lx0 else np.empty(0)
-        ay0 = np.concatenate(ly0) if ly0 else np.empty(0)
-        ax1 = np.concatenate(lx1) if lx1 else np.empty(0)
-        ay1 = np.concatenate(ly1) if ly1 else np.empty(0)
-        n = len(ax0)
-        vals_x = np.empty(2 * n)
-        vals_x[0::2] = ax0
-        vals_x[1::2] = ax1
-        vals_y = np.empty(2 * n)
-        vals_y[0::2] = ay0
-        vals_y[1::2] = ay1
-        offs = pa.array(np.arange(0, 2 * n + 1, 2, dtype=np.int32))
-        line_t = pa.table(
-            {
-                "kind": pa.array(["line"] * n, pa.string()),
-                "seam_key": pa.array(np.full(n, -1, dtype=np.int64)),
-                "side": pa.array([""] * n, pa.string()),
-                "colors": pa.ListArray.from_arrays(
-                    pa.array(np.zeros(n + 1, dtype=np.int32)), pa.array([], pa.int64())
-                ),
-                "xs": pa.ListArray.from_arrays(offs, pa.array(vals_x, pa.float64())),
-                "ys": pa.ListArray.from_arrays(offs, pa.array(vals_y, pa.float64())),
-            }
-        )
-        m = len(strips["seam_key"])
-        if m:
-            clens = np.fromiter((len(c) for c in strips["colors"]), dtype=np.int64, count=m)
-            coffs = pa.array(np.concatenate([[0], np.cumsum(clens)]).astype(np.int32))
-            cvals = pa.array(np.concatenate(strips["colors"]))
-        else:
-            coffs = pa.array(np.zeros(1, dtype=np.int32))
-            cvals = pa.array([], pa.int64())
-        strip_t = pa.table(
-            {
-                "kind": pa.array(["strip"] * m, pa.string()),
-                "seam_key": pa.array(strips["seam_key"], pa.int64()),
-                "side": pa.array(strips["side"], pa.string()),
-                "colors": pa.ListArray.from_arrays(coffs, cvals),
-                "xs": pa.array(strips["xs"], pa.list_(pa.float64())),
-                "ys": pa.array(strips["ys"], pa.list_(pa.float64())),
-            }
-        )
-        return pa.concat_tables([line_t, strip_t])
+    ax0 = np.concatenate(lx0) if lx0 else np.empty(0)
+    ay0 = np.concatenate(ly0) if ly0 else np.empty(0)
+    ax1 = np.concatenate(lx1) if lx1 else np.empty(0)
+    ay1 = np.concatenate(ly1) if ly1 else np.empty(0)
+    n = len(ax0)
+    vals_x = np.empty(2 * n)
+    vals_x[0::2] = ax0
+    vals_x[1::2] = ax1
+    vals_y = np.empty(2 * n)
+    vals_y[0::2] = ay0
+    vals_y[1::2] = ay1
+    offs = pa.array(np.arange(0, 2 * n + 1, 2, dtype=np.int32))
+    line_t = pa.table(
+        {
+            "xs": pa.ListArray.from_arrays(offs, pa.array(vals_x, pa.float64())),
+            "ys": pa.ListArray.from_arrays(offs, pa.array(vals_y, pa.float64())),
+        }
+    )
+    m = len(strips["seam_key"])
+    if m:
+        clens = np.fromiter((len(c) for c in strips["colors"]), dtype=np.int64, count=m)
+        coffs = pa.array(np.concatenate([[0], np.cumsum(clens)]).astype(np.int32))
+        cvals = pa.array(np.concatenate(strips["colors"]))
+    else:
+        coffs = pa.array(np.zeros(1, dtype=np.int32))
+        cvals = pa.array([], pa.int64())
+    strip_t = pa.table(
+        {
+            "seam_key": pa.array(strips["seam_key"], pa.int64()),
+            "side": pa.array(strips["side"], pa.string()),
+            "colors": pa.ListArray.from_arrays(coffs, cvals),
+            "xs": pa.array(strips["xs"], pa.list_(pa.float64())),
+            "ys": pa.array(strips["ys"], pa.list_(pa.float64())),
+        }
+    )
+    return line_t, strip_t
 
 
 def _empty_seam_lines() -> pa.Table:
@@ -262,31 +257,35 @@ def _seam_keyed(t: pa.Table) -> tuple[pa.Table, np.ndarray]:
     return t, splitmix64(t["seam_key"].to_numpy().astype(np.uint64))
 
 
+def _vectorize_piece(path, row_group, offset, rows, filesystem, n_cols, n_rows):
+    """One piece of the image table -> its linework, its seam strips and
+    their row counts (a third return, so the driver learns the counts
+    without fetching the tables)."""
+    batch = _roundtrip_piece(path, row_group, offset, rows, filesystem, lambda t: t, None)
+    lines, strips = _vectorize(batch, n_cols, n_rows)
+    return lines, strips, (lines.num_rows, strips.num_rows)
+
+
+_vectorize_task = ray.remote(num_returns=3)(_vectorize_piece)
+
+
 def mosaic_polygonize(
     image_table_path: str,
     n_cols: int,
     n_rows: int,
     cfg: PipelineConfig | None = None,
-    spill_dir: str | None = None,
     local_rows_threshold: int | None = None,
 ) -> rd.Dataset:
     """image table -> global mosaic linework (interior + seam join) ->
     exact polygonize -> polygons Dataset (may span images).
 
-    ``spill_dir``: directory for the linework checkpoint.  It is read only
-    during this call: the returned Dataset is materialized in the object
-    store, so the directory may be deleted as soon as this returns.  When
-    None a fresh ``tempfile.mkdtemp`` directory is used and is NOT cleaned
-    up by this function; pass an owned directory to control the lifetime.
-
-    ``local_rows_threshold``: max checkpointed linework rows for the
+    ``local_rows_threshold``: max linework + strip rows for the
     driver-local exact polygonize (default ``_MOSAIC_LOCAL_ROWS``); larger
     inputs use the distributed adaptive-escalation path.  Tests force the
     distributed branch with 0.
     """
-    import pyarrow.parquet as pq
-
-    meta = pq.read_table(image_table_path, columns=["w", "h"])
+    images, pieces = table_pieces(image_table_path)
+    meta = images.to_table(columns=["w", "h"])
     wcol = meta["w"].to_numpy()
     hcol = meta["h"].to_numpy()
     if len(wcol) == 0:
@@ -303,32 +302,10 @@ def mosaic_polygonize(
     bbox = (0.0, 0.0, float(n_cols * w), float(n_rows * h))
     cfg = cfg or PipelineConfig(tile_size=float(w), tile_buffer=float(min(w, h)))
 
-    ds = rd.read_parquet(image_table_path)
-    # The vectorized linework is consumed by THREE branches (interior lines
-    # + seam strips + the salting histogram); running them off the lazy
-    # dataset would re-run the decode actor pool per branch (and two
-    # concurrent pools can starve a small cluster's CPUs).  It is
-    # checkpointed to parquet and re-read lazily rather than pinned with
-    # materialize(): the linework is O(label-boundary pixels) — small next
-    # to the images but still corpus-proportional, the same class as the
-    # MinHash signature table (round-2 judge item #7).
-    import glob as _glob
-    import os
-    import tempfile
-
-    spill = spill_dir or tempfile.mkdtemp(prefix="gpr_mosaic_")
-    # stateless TASK pool (instance, not class): construction is two ints,
-    # and tasks reuse the session's warm worker pool instead of paying an
-    # actor-pool spin-up per call (same trade-off as TilePolygonizer)
-    ds.map_batches(
-        MosaicVectorizer(n_cols, n_rows), batch_format="pyarrow", batch_size=16
-    ).write_parquet(spill)
-    files = sorted(_glob.glob(os.path.join(spill, "*.parquet")))
-    if not files:
-        raise RuntimeError(
-            f"mosaic_polygonize: vectorizer wrote no parquet under {spill!r} "
-            f"for a {meta.num_rows}-image table — checkpoint failed"
-        )
+    outs = [_vectorize_task.remote(*p, images.filesystem, n_cols, n_rows) for p in pieces]
+    counts = ray.get([o[2] for o in outs])
+    lines = [(o[0], 0, n) for o, (n, _) in zip(outs, counts)]
+    strips = [(o[1], 0, m) for o, (_, m) in zip(outs, counts)]
     # Polygonize.  A mosaic's merged same-color regions can be ARBITRARILY
     # large (a connected background region spans the whole mosaic), so a
     # fixed-buffer tiled run violates the ownership contract no matter the
@@ -340,27 +317,17 @@ def mosaic_polygonize(
     #     explicit row threshold the EXACT in-process polygonizer runs on
     #     the driver (~0.06 s at 1024 tiles; same small-side policy as
     #     PipelineConfig.local_fastpath_rows) — the distributed heavy
-    #     lifting (decode/vectorize) already happened in the actor stage,
-    #     and the seam join is one vectorized driver call.
-    #   * above it, the adaptive buffer-escalation path
-    #     (polygonize_dataset_adaptive) — exact for faces larger than any
-    #     buffer via its final global round — with the seam join as ONE
-    #     hash exchange on the seam key, every seam of a bucket compared
-    #     vectorized.
+    #     lifting (decode/vectorize) already happened in the tasks, and
+    #     the seam join is one vectorized driver call.
+    #   * above it, the adaptive buffer-escalation path — exact for faces
+    #     larger than any buffer via its final global round — with the
+    #     seam join as ONE hash exchange on the seam key, every seam of a
+    #     bucket compared vectorized.
     if local_rows_threshold is None:
         local_rows_threshold = _MOSAIC_LOCAL_ROWS
-    n_linework_rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
     est_strip_bytes = 4 * n_cols * n_rows * max(w, h) * 8
-    if n_linework_rows <= local_rows_threshold and est_strip_bytes <= (32 << 20):
-        from geo_polygonize_ray.pipelines.polygonize import polygonize_table_local
-
-        strip_t = pq.read_table(
-            files,
-            filters=[("kind", "==", "strip")],
-            columns=["seam_key", "side", "colors", "xs", "ys"],
-        )
-        line_t = pq.read_table(files, filters=[("kind", "==", "line")], columns=["xs", "ys"])
-        allt = pa.concat_tables([line_t.select(["xs", "ys"]), _seam_bucket_segments(strip_t)])
+    if sum(map(sum, counts)) <= local_rows_threshold and est_strip_bytes <= (32 << 20):
+        allt = pa.concat_tables([fetch(lines), _seam_bucket_segments(fetch(strips))])
         local_cfg = PipelineConfig(
             node_input=True,
             snap_grid_size=cfg.snap_grid_size,
@@ -368,32 +335,18 @@ def mosaic_polygonize(
         )
         return rd.from_arrow(polygonize_table_local(allt, local_cfg))
 
-    mixed = rd.read_parquet(files)
-    lines = mixed.filter(expr="kind == 'line'").select_columns(["xs", "ys"])
-    if est_strip_bytes <= (32 << 20):
-        strip_t = pq.read_table(
-            files,
-            filters=[("kind", "==", "strip")],
-            columns=["seam_key", "side", "colors", "xs", "ys"],
-        )
-        seam_lines = rd.from_arrow(_seam_bucket_segments(strip_t))
-    else:
-        from geo_polygonize_ray.functions.agg import shuffle, to_dataset
-
-        strips = mixed.filter(expr="kind == 'strip'").select_columns(
-            ["seam_key", "side", "colors", "xs", "ys"]
-        )
-        seam_lines = to_dataset(shuffle([(strips, _seam_keyed)], _seam_bucket_segments))
-    from geo_polygonize_ray.stages.stitch import polygonize_dataset_adaptive
-
-    linework = lines.union(seam_lines)
-    return polygonize_dataset_adaptive(linework, cfg, bbox=bbox)
+    n_out = exchange_buckets()
+    map_fn = functools.partial(_route, _seam_keyed, n_out)
+    refs, rows = exchange([(strips, map_fn)], n_out, _seam_bucket_segments)
+    seams = [(ref, 0, n) for ref, n in zip(refs, ray.get(rows))]
+    # empty seam buckets would cost a map task in every round
+    slices = [s for s in lines + seams if s[2]]
+    refs = polygonize_slices_adaptive(slices, ["xs", "ys"], cfg, bbox=bbox)
+    return rd.from_arrow_refs(refs).materialize()
 
 
 def assemble_mosaic_labels(image_table_path: str, n_cols: int, n_rows: int) -> np.ndarray:
     """Driver-side ground truth: the full mosaic label image (tests only)."""
-    import pyarrow.parquet as pq
-
     t = pq.read_table(image_table_path)
     w = t["w"][0].as_py()
     h = t["h"][0].as_py()

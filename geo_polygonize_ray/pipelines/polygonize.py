@@ -78,10 +78,11 @@ def _slice_bbox(t: pa.Table) -> tuple[float, float, float, float]:
 
 
 def _slices_bbox(slices: list[Slice]) -> tuple[float, float, float, float]:
-    """Global bbox of the slices' linework, one task per slice (infinite
+    """Global bbox of the slices' linework, one task per slice ((0, 0, 0, 0)
     when there are no points)."""
     boxes = np.array(map_slices(_slice_bbox, slices))
-    return (*boxes[:, :2].min(axis=0), *boxes[:, 2:].max(axis=0))
+    bbox = (*boxes[:, :2].min(axis=0), *boxes[:, 2:].max(axis=0))
+    return bbox if np.all(np.isfinite(bbox)) else (0.0, 0.0, 0.0, 0.0)
 
 
 # --- skew salting (SURVEY.md §4.2, north_rule) -----------------------------
@@ -180,6 +181,13 @@ def compute_hot_tiles(slices: list[Slice], bbox, cfg: PipelineConfig):
     return hot, thr
 
 
+def runs_local(cfg: PipelineConfig, rows: int) -> bool:
+    """Whether a job of ``rows`` linework rows takes the in-process fast
+    path (``polygonize_table_local``): untiled, and at most
+    ``cfg.local_fastpath_rows`` rows (0 turns the fast path off)."""
+    return not cfg.tiled() and bool(cfg.local_fastpath_rows) and rows <= cfg.local_fastpath_rows
+
+
 def polygonize_table_local(t: pa.Table, cfg: PipelineConfig | None = None) -> pa.Table:
     """In-process fast path: linework Arrow table -> polygon Arrow table with
     NO Ray involvement (no object-store round trip, no Dataset construction)
@@ -250,7 +258,7 @@ def polygonize_dataset(
     n_cpus = cluster_cpus()
     slices, schema, n_rows = dataset_slices(ds, n_cpus)
 
-    if not cfg.tiled() and cfg.local_fastpath_rows and n_rows <= cfg.local_fastpath_rows:
+    if runs_local(cfg, n_rows):
         # small-input fast path: run in-process (see PipelineConfig note)
         return rd.from_arrow(polygonize_table_local(fetch(slices), cfg))
 
@@ -265,8 +273,6 @@ def polygonize_dataset(
     else:
         if bbox is None:
             bbox = _slices_bbox(slices)
-            if not np.all(np.isfinite(bbox)):  # no points at all
-                bbox = (0.0, 0.0, 0.0, 0.0)
         hot = {}
         if cfg.salt_threshold is None or cfg.salt_threshold > 0:
             hot, _ = compute_hot_tiles(slices, bbox, cfg)
@@ -300,11 +306,7 @@ def polygonize_lines_distributed(
     Sub-threshold untiled inputs never touch Ray at all (latency path)."""
     t = linework_table(lines)
     _cfg = cfg or PipelineConfig(node_input=True)
-    if (
-        not _cfg.tiled()
-        and _cfg.local_fastpath_rows
-        and t.num_rows <= _cfg.local_fastpath_rows
-    ):
+    if runs_local(_cfg, t.num_rows):
         return table_to_polygons(polygonize_table_local(t, _cfg))
     ds = rd.from_arrow(t)
     out = polygonize_dataset(ds, cfg, bbox)

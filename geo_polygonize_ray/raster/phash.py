@@ -37,11 +37,18 @@ def _resize_area(img: np.ndarray, n: int) -> np.ndarray:
 
 def phash64(img: np.ndarray) -> int | np.ndarray:
     """(h, w, 3) uint8 -> signed 64-bit perceptual hash as an int, or an
-    (n, h, w, 3) stack -> (n,) int64 hashes, in one numpy pass."""
+    (n, h, w, 3) stack -> (n,) int64 hashes.
+
+    Each image is resized and transformed on its own, by two 2-D products:
+    a batched product (or one over a strided resize of the stack) rounds
+    differently, and the median threshold would flip a near-tie bit, so an
+    image would hash differently alone and inside a stack."""
     img = np.asarray(img)
     stack = img.reshape((-1,) + img.shape[-3:])
     luma = 0.299 * stack[..., 0] + 0.587 * stack[..., 1] + 0.114 * stack[..., 2]
-    block = (_DCT_M @ _resize_area(luma, _DCT_N) @ _DCT_M.T)[:, :8, :8].reshape(len(stack), 64)
+    block = np.array(
+        [(_DCT_M @ _resize_area(y, _DCT_N) @ _DCT_M.T)[:8, :8].ravel() for y in luma]
+    ).reshape(len(stack), 64)
     med = np.median(block[:, 1:], axis=1)  # exclude DC term
     bits = (block > med[:, None]).astype(np.uint64) << np.arange(64, dtype=np.uint64)
     out = bits.sum(axis=1, dtype=np.uint64).view(np.int64)

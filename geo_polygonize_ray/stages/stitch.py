@@ -125,6 +125,7 @@ import ray.data as rd
 
 from geo_polygonize_ray.config import PipelineConfig
 from geo_polygonize_ray.functions.exchange import (
+    Slice,
     cluster_cpus,
     dataset_slices,
     exchange,
@@ -501,30 +502,53 @@ def polygonize_dataset_adaptive(
     """Tiled polygonize with adaptive buffer escalation: correct even for
     polygons (arbitrarily) larger than the initial tile buffer.
 
+    ``ds`` executes once into block refs cut into ~n_cpus row slices
+    (functions/exchange.py), which ``polygonize_slices_adaptive`` runs;
+    the result is a materialized Dataset over its output refs.
+    ``bbox=None`` derives the bbox from the input.
+
+    ``spill_dir`` is unused: nothing is written to disk.  It stays in the
+    signature because ``polybench/workloads.py`` still passes it.
+    """
+    slices, schema, _ = dataset_slices(ds, cluster_cpus())
+    refs = polygonize_slices_adaptive(
+        slices, schema.names, cfg, bbox, max_rounds, _round_input_counts
+    )
+    # materialize(): see polygonize_dataset (an unexecuted plan's streaming
+    # executor would pin the output blocks until Python's cyclic GC)
+    return rd.from_arrow_refs(refs).materialize()
+
+
+def polygonize_slices_adaptive(
+    slices: list[Slice],
+    columns: list[str],
+    cfg: PipelineConfig,
+    bbox: tuple[float, float, float, float] | None = None,
+    max_rounds: int = 4,
+    _round_input_counts: list | None = None,
+) -> list[ray.ObjectRef]:
+    """``polygonize_dataset_adaptive`` on linework row slices whose tables
+    have ``columns``: returns refs to the polygon tables.
+
     Round r uses buffer = max(tile_buffer, tile_size/2) * 2^r, restricted to
     the tiles still active (unresolved or witness-flagged); the last
     permitted round forces buffer >= span so it is globally exact.  Each
     tile's final contribution is its LAST round's output (supersede), which
     makes re-running a previously-resolved tile safe (no duplicates).
-    ``bbox=None`` derives the bbox from the input.
+    ``bbox=None`` derives the bbox from the slices.
 
-    Scale shape: ``ds`` executes once into block refs cut into ~n_cpus row
-    slices (functions/exchange.py), and every round is one hash exchange of
-    plain Ray tasks over those same slices, carrying clipped segment rows
-    (``_round_map``).  Rounds 1+ pre-filter each slice's linework rows by
+    Scale shape: every round is one hash exchange of plain Ray tasks over
+    the same slices, carrying clipped segment rows (``_round_map``).
+    Rounds 1+ pre-filter each slice's linework rows by
     bbox-intersects-active-windows before exploding and assigning them, so
     a late round touching a handful of tiles assigns ~those tiles'
     linework, not the whole input.  Each round's reduce outputs (polygons
     plus verdict and witness rows) stay in the object store as refs; one
     small task per ref sends the driver only the unresolved tile ids and
     the witness rows.  At the end one task per ref keeps the polygon rows
-    of each tile's last round, and the result is a materialized Dataset
-    over those refs.  Every round's output is held in the object store
-    until the job returns (Ray spills objects to disk under memory
+    of each tile's last round.  Every round's output is held in the object
+    store until the job returns (Ray spills objects to disk under memory
     pressure).
-
-    ``spill_dir`` is unused: nothing is written to disk.  It stays in the
-    signature because ``polybench/workloads.py`` still passes it.
 
     Documented limitation: the adaptive path runs UNSALTED (hot={}) — its
     per-round window bookkeeping and witness routing key on unsalted leaf
@@ -533,13 +557,10 @@ def polygonize_dataset_adaptive(
     group-count overhead stays bounded by the ~4x-cores bucketing.
     """
     n_cpus = cluster_cpus()
-    slices, schema, n_rows = dataset_slices(ds, n_cpus)
     # map tasks read only these columns: payload never enters the exchange
-    cols = [c for c in ("plane_id", "xs", "ys") if c in schema.names]
+    cols = [c for c in ("plane_id", "xs", "ys") if c in columns]
     if bbox is None:
         bbox = _slices_bbox(slices)
-        if not np.all(np.isfinite(bbox)):  # no points at all
-            bbox = (0.0, 0.0, 0.0, 0.0)
 
     span = max(bbox[2] - bbox[0], bbox[3] - bbox[1])
     buffer0 = max(cfg.tile_buffer, cfg.tile_size / 2.0)
@@ -574,7 +595,7 @@ def polygonize_dataset_adaptive(
             # (rows, ran_at_global_buffer).  Global-buffer rounds (the
             # exactness guarantee and any delivery rounds) necessarily scan
             # the full input; scan locality applies to the other rounds.
-            rows = n_rows
+            rows = sum(n for _, _, n in slices)
             if keep is not None:
                 rows = sum(map_slices(_prefiltered_rows, slices, assigner, keep))
             _round_input_counts.append((rows, bool(final_round)))
@@ -621,6 +642,4 @@ def polygonize_dataset_adaptive(
         superseded = np.array(sorted(later), dtype=np.int64)
         outputs[:0] = [_final_polys_task.remote(ref, superseded) for ref in refs]
         later |= ran or set()
-    # materialize(): see polygonize_dataset (an unexecuted plan's streaming
-    # executor would pin the output blocks until Python's cyclic GC)
-    return rd.from_arrow_refs(outputs).materialize()
+    return outputs

@@ -73,16 +73,64 @@ class TestMosaic:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestMosaicSpill:
-    def test_spill_dir_owned_by_caller(self, tmp_path):
-        """Round-3 ADVICE: the caller can own the checkpoint dir; the
-        linework lands inside it and the result stays correct."""
-        import os
+class TestMosaicOnRefs:
+    def test_no_dataset_operators_and_no_file(self, tmp_path, monkeypatch):
+        """The distributed mosaic passes object refs between its stages: it
+        builds no Ray Data read, map, write, filter or union, its output's
+        stats tree holds none of them, and it writes no file (the temporary
+        directory and the working directory stay empty)."""
+        import tempfile
 
-        spill = str(tmp_path / "owned_spill")
-        os.makedirs(spill)
-        path = cached_image_table(4)
-        out = mosaic_polygonize(path, 2, 2, spill_dir=spill).to_pandas()
-        assert len(out) > 0
-        files = [f for f in os.listdir(spill) if f.endswith(".parquet")]
-        assert files, "checkpoint did not land in the caller's spill dir"
+        import ray.data as rd
+
+        path = cached_image_table(6)
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"mosaic_polygonize called {name}")
+
+            return call
+
+        monkeypatch.setattr(rd, "read_parquet", forbidden("read_parquet"))
+        for name in ("map_batches", "write_parquet", "filter", "union"):
+            monkeypatch.setattr(rd.Dataset, name, forbidden(name))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+
+        out = mosaic_polygonize(path, 3, 2, local_rows_threshold=0)
+        assert out.count() > 0
+        todo, names = [out._plan.stats()], []
+        while todo:
+            st = todo.pop()
+            todo.extend(st.parents)
+            names.extend(st.metadata)
+        assert names
+        for op in ("ReadParquet", "MapBatches", "Write", "Filter", "Union"):
+            assert not any(op in n for n in names), names
+            assert op not in out.stats()
+        assert not list(tmp_path.iterdir())
+
+    def test_adaptive_core_gets_linework_slices(self, monkeypatch):
+        """Every slice the escalation rounds receive, vectorized linework and
+        seam-join output alike, holds exactly the xs/ys columns."""
+        import ray
+
+        from geo_polygonize_ray.pipelines import mosaic
+
+        seen = []
+        core = mosaic.polygonize_slices_adaptive
+
+        def spy(slices, columns, *args, **kwargs):
+            seen.append((list(slices), list(columns)))
+            return core(slices, columns, *args, **kwargs)
+
+        monkeypatch.setattr(mosaic, "polygonize_slices_adaptive", spy)
+        out = mosaic_polygonize(cached_image_table(6), 3, 2, local_rows_threshold=0)
+        assert out.count() > 0
+        [(slices, columns)] = seen
+        assert columns == ["xs", "ys"]
+        assert sum(n for _, _, n in slices) > 0
+        for ref, offset, rows in slices:
+            t = ray.get(ref)
+            assert t.schema.names == ["xs", "ys"]
+            assert offset + rows <= t.num_rows
