@@ -320,9 +320,10 @@ def mosaic_polygonize(
     #     lifting (decode/vectorize) already happened in the tasks, and
     #     the seam join is one vectorized driver call.
     #   * above it, the adaptive buffer-escalation path — exact for faces
-    #     larger than any buffer via its final global round — with the
-    #     seam join as ONE hash exchange on the seam key, every seam of a
-    #     bucket compared vectorized.
+    #     larger than any buffer, since rounds that would reach the span
+    #     or pass their limit end in one untiled trace of all the
+    #     linework — with the seam join as ONE hash exchange on the seam
+    #     key, every seam of a bucket compared vectorized.
     if local_rows_threshold is None:
         local_rows_threshold = _MOSAIC_LOCAL_ROWS
     est_strip_bytes = 4 * n_cols * n_rows * max(w, h) * 8

@@ -14,6 +14,10 @@ plain Ray tasks (functions/exchange.py), with no Ray Data all-to-all:
          §3.1 with ST3 clip, sliver + ownership, A8)
       -> rd.from_arrow_refs(reduce outputs).materialize(): polygons Dataset
 
+``polygonize_slices`` is the steps from the slices to the reduce output
+refs; ``polygonize_dataset`` adds the Dataset at each end and the
+in-process fast path for small untiled input.
+
 Untiled input runs the same exchange with whole linework rows and one cell
 per plane.  The ownership rule makes the buffered duplication exactly-once:
 every polygon's centroid lies in exactly one half-open leaf rect, because
@@ -39,7 +43,7 @@ import functools
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
+import ray
 import ray.data as rd
 
 from geo_polygonize_ray.config import PipelineConfig
@@ -241,29 +245,19 @@ def _tiled_map(cols: list[str], assigner: SaltedSegmentAssigner, n_buckets: int,
     return t, _exchange_bucket(t, n_buckets)
 
 
-def polygonize_dataset(
-    ds: rd.Dataset,
-    cfg: PipelineConfig | None = None,
+def polygonize_slices(
+    slices: list[Slice],
+    columns: list[str],
+    cfg: PipelineConfig,
     bbox: tuple[float, float, float, float] | None = None,
-) -> rd.Dataset:
-    """linework Dataset -> polygons Dataset (POLYGON_SCHEMA, plus plane_key
-    when the input has plane_id).
-
-    ``ds``'s lineage executes once: the bbox and salting histogram tasks
-    read the same block refs as the exchange's map tasks.  The result is a
-    materialized Dataset over the reduce tasks' output tables (one block
-    per reduce task).  ``cfg.salt_threshold == 0`` turns salting off.
-    """
-    cfg = cfg or PipelineConfig(node_input=True)
+) -> list[ray.ObjectRef]:
+    """The exchange core of ``polygonize_dataset`` on linework row slices
+    whose tables have ``columns``: returns refs to the reduce tasks' polygon
+    tables (POLYGON_SCHEMA, plus plane_key when the input has plane_id).
+    ``bbox=None`` derives the bbox of a tiled run from the slices."""
     n_cpus = cluster_cpus()
-    slices, schema, n_rows = dataset_slices(ds, n_cpus)
-
-    if runs_local(cfg, n_rows):
-        # small-input fast path: run in-process (see PipelineConfig note)
-        return rd.from_arrow(polygonize_table_local(fetch(slices), cfg))
-
     # map tasks read only these columns: payload never enters the exchange
-    cols = [c for c in ("plane_id", "xs", "ys") if c in schema.names]
+    cols = [c for c in ("plane_id", "xs", "ys") if c in columns]
     if not cfg.tiled():
         # untiled: one logical tile per PLANE, each an independent graph;
         # multi-plane input parallelizes across planes
@@ -288,11 +282,36 @@ def polygonize_dataset(
             snap_grid_size=cfg.snap_grid_size,
             max_noding_iters=cfg.max_noding_iters,
         )
+    refs, _ = exchange([(slices, map_fn)], n_buckets, tracer)
+    return refs
+
+
+def polygonize_dataset(
+    ds: rd.Dataset,
+    cfg: PipelineConfig | None = None,
+    bbox: tuple[float, float, float, float] | None = None,
+) -> rd.Dataset:
+    """linework Dataset -> polygons Dataset (POLYGON_SCHEMA, plus plane_key
+    when the input has plane_id).
+
+    ``ds``'s lineage executes once: the bbox and salting histogram tasks
+    read the same block refs as the exchange's map tasks
+    (``polygonize_slices``).  The result is a materialized Dataset over the
+    reduce tasks' output tables (one block per reduce task).
+    ``cfg.salt_threshold == 0`` turns salting off.
+    """
+    cfg = cfg or PipelineConfig(node_input=True)
+    slices, schema, n_rows = dataset_slices(ds, cluster_cpus())
+
+    if runs_local(cfg, n_rows):
+        # small-input fast path: run in-process (see PipelineConfig note)
+        return rd.from_arrow(polygonize_table_local(fetch(slices), cfg))
+
     # materialize(): consuming an already-executed plan starts no streaming
     # executor.  The executor's reference cycle would keep every output
     # block in the object store until Python's cyclic GC runs (measured:
     # driver and worker peak RSS grew ~1 MB per job instead of levelling).
-    refs, _ = exchange([(slices, map_fn)], n_buckets, tracer)
+    refs = polygonize_slices(slices, schema.names, cfg, bbox)
     return rd.from_arrow_refs(refs).materialize()
 
 

@@ -7,8 +7,9 @@
 GeoJSON in/out mirrors the reference CLI (clap args --input/--output/--node,
 examples/polygonize.rs:11-25); Parquet linework in + partitioned Parquet out
 is the cluster path (resumable via the checkpoint manifest).  On a real
-cluster this module is the `ray job submit` payload; it owns its Ray session
-(guarded init, shutdown at exit) per the driver contract.
+cluster this module is the `ray job submit` payload; it owns the Ray session
+it starts (guarded init, shutdown at exit) per the driver contract, and
+leaves a session its caller started running.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ def main(argv=None) -> int:
 
     import ray
 
-    if not ray.is_initialized():
+    # a session the caller started is the caller's to shut down
+    owns_session = not ray.is_initialized()
+    if owns_session:
         ray.init(
             address="local",
             num_cpus=args.num_cpus,
@@ -48,7 +51,8 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     finally:
-        ray.shutdown()
+        if owns_session:
+            ray.shutdown()
 
 
 def _run(args) -> int:

@@ -10,7 +10,10 @@ tiled map (explode the linework, duplicate every segment to each buffered
 leaf window it meets and clip it there, ``assign_and_clip``) run with the
 round's buffer on the active tiles only, and each cell is one
 ``polygonize_soup`` call that also returns the unowned shells and the
-traced graph.
+traced graph.  When tiles are still active at the last permitted round
+(or a round's buffer would reach the span), that round is one untiled
+trace of the whole linework (``pipelines/polygonize.polygonize_slices``)
+instead, whose output replaces every earlier round's.
 
 Setting.  Leaf T has the half-open owner rect R = [x0, x1) x [y0, y1)
 and, in a round with buffer b, the closed window W = R grown by b.  T's
@@ -93,14 +96,15 @@ an untrusted shell, and T flags (1) when it owns L, or else witnesses L
 to its owner, which runs until its window strictly holds L's bbox and
 with it F's shell.  Either way some tile traces F exactly, owns it or
 witnesses it to F's centroid owner, which then traces it exactly itself.
-The last permitted round forces buffer >= span, so every still-active
-tile finishes exact (its verdicts are then ignored).  A polygon whose
-shell is the CCW ring of a piece that is one simple cycle covers the
-bounded face inside it and is found the same way.  The argument does not
-cover the residual of the CCW ring of a piece with several faces (the
-hole rule's leftover, whose outer side is the unbounded face): that
-polygon is found when a tile's piece of it leaves a residual too, an
-untrusted shell there.
+A polygon whose shell is the CCW ring of a piece that is one simple cycle
+covers the bounded face inside it and is found the same way.  The
+argument does not cover the residual of the CCW ring of a piece with
+several faces (the hole rule's leftover, whose outer side is the
+unbounded face): that polygon is found when a tile's piece of it leaves a
+residual too, an untrusted shell there.  All of this holds when the
+rounds end with no tile active.  A job that would go on past its last
+permitted round ends instead in one untiled trace of the whole linework,
+which is by definition the exact answer.
 
 Exactly-once: each tile's final contribution comes from the LAST round it
 ran (a re-run's window is a superset, so its owned trusted output is a
@@ -111,11 +115,15 @@ tile range and witness owner comes from the one ``SaltedTileAssigner``
 grid, whose tile c spans [minx + c * tile_size, minx + (c + 1) *
 tile_size)) and agree on each centroid bit for bit (the shell's centroid
 is summed over its own ring only, ``kernels.ring_centroid_isolated``).
+The untiled trace emits each face once and replaces every round's
+output; each of its rows gets the tile_id of the leaf that owns its
+shell's centroid, the tile a tiled round gives the polygon to.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pyarrow as pa
@@ -129,15 +137,15 @@ from geo_polygonize_ray.functions.exchange import (
     cluster_cpus,
     dataset_slices,
     exchange,
-    map_slices,
 )
-from geo_polygonize_ray.geom.kernels import bbox_many, signed_area_many
+from geo_polygonize_ray.geom.kernels import bbox_many, ring_centroid_isolated, signed_area_many
 from geo_polygonize_ray.local.graph import PlanarGraph
-from geo_polygonize_ray.pipelines.polygonize import _slices_bbox
+from geo_polygonize_ray.pipelines.polygonize import _slices_bbox, polygonize_slices
 from geo_polygonize_ray.stages.linework import (
     _SALT_SUBS,
     SaltedSegmentAssigner,
     SaltedTileAssigner,
+    _list_bounds,
     add_plane_key,
     explode_linework_to_segments,
     linework_bboxes,
@@ -447,10 +455,6 @@ def _prefilter(t: pa.Table, assigner: SaltedTileAssigner, keep) -> pa.Table:
     return t.filter(pa.array((c0 <= c1) & (r0 <= r1) & (n > 0)))
 
 
-def _prefiltered_rows(t: pa.Table, assigner: SaltedTileAssigner, keep) -> int:
-    return _prefilter(t, assigner, keep).num_rows
-
-
 def _round_map(cols, assigner: SaltedSegmentAssigner, keep, n_buckets, t: pa.Table):
     """Exchange map side of one round: the tiled map
     (``pipelines/polygonize._tiled_map``: add_plane_key, explode,
@@ -487,8 +491,19 @@ def _final_polys(t: pa.Table, superseded: np.ndarray) -> pa.Table:
     return t
 
 
+def _owner_tiles(t: pa.Table, grid: SaltedTileAssigner) -> pa.Table:
+    """The untiled trace's rows, each tile_id set to the leaf that owns its
+    shell's anchor (``ring_centroid_isolated``): the tile a tiled round
+    gives the polygon to."""
+    xs, offsets = _list_bounds(t["shell_xs"])
+    ys, _ = _list_bounds(t["shell_ys"])
+    owner = grid.owner_leaves(*ring_centroid_isolated(xs, ys, offsets))
+    return t.set_column(t.schema.get_field_index("tile_id"), "tile_id", pa.array(owner))
+
+
 _verdicts_task = ray.remote(_round_verdicts)
 _final_polys_task = ray.remote(_final_polys)
+_owner_tiles_task = ray.remote(_owner_tiles)
 
 
 def polygonize_dataset_adaptive(
@@ -497,7 +512,6 @@ def polygonize_dataset_adaptive(
     bbox: tuple[float, float, float, float] | None = None,
     max_rounds: int = 4,
     spill_dir: str | None = None,
-    _round_input_counts: list | None = None,
 ) -> rd.Dataset:
     """Tiled polygonize with adaptive buffer escalation: correct even for
     polygons (arbitrarily) larger than the initial tile buffer.
@@ -511,9 +525,7 @@ def polygonize_dataset_adaptive(
     signature because ``polybench/workloads.py`` still passes it.
     """
     slices, schema, _ = dataset_slices(ds, cluster_cpus())
-    refs = polygonize_slices_adaptive(
-        slices, schema.names, cfg, bbox, max_rounds, _round_input_counts
-    )
+    refs = polygonize_slices_adaptive(slices, schema.names, cfg, bbox, max_rounds)
     # materialize(): see polygonize_dataset (an unexecuted plan's streaming
     # executor would pin the output blocks until Python's cyclic GC)
     return rd.from_arrow_refs(refs).materialize()
@@ -525,16 +537,19 @@ def polygonize_slices_adaptive(
     cfg: PipelineConfig,
     bbox: tuple[float, float, float, float] | None = None,
     max_rounds: int = 4,
-    _round_input_counts: list | None = None,
 ) -> list[ray.ObjectRef]:
     """``polygonize_dataset_adaptive`` on linework row slices whose tables
     have ``columns``: returns refs to the polygon tables.
 
     Round r uses buffer = max(tile_buffer, tile_size/2) * 2^r, restricted to
-    the tiles still active (unresolved or witness-flagged); the last
-    permitted round forces buffer >= span so it is globally exact.  Each
-    tile's final contribution is its LAST round's output (supersede), which
-    makes re-running a previously-resolved tile safe (no duplicates).
+    the tiles still active (unresolved or witness-flagged).  Each tile's
+    final contribution is its LAST round's output (supersede), which makes
+    re-running a previously-resolved tile safe (no duplicates).  A round
+    whose buffer would reach the span, or the last of ``max_rounds`` (the
+    first when ``max_rounds <= 1``), is instead one untiled trace of the
+    whole linework (``polygonize_slices``), whose output replaces every
+    earlier round's; an untiled ``cfg`` (``tile_size <= 0``) runs that
+    trace alone.  Both trace with noding on, like every tiled round.
     ``bbox=None`` derives the bbox from the slices.
 
     Scale shape: every round is one hash exchange of plain Ray tasks over
@@ -546,9 +561,10 @@ def polygonize_slices_adaptive(
     plus verdict and witness rows) stay in the object store as refs; one
     small task per ref sends the driver only the unresolved tile ids and
     the witness rows.  At the end one task per ref keeps the polygon rows
-    of each tile's last round.  Every round's output is held in the object
-    store until the job returns (Ray spills objects to disk under memory
-    pressure).
+    of each tile's last round, or, after the untiled trace, sets each
+    row's tile_id to the leaf that owns it.  Every round's output is held
+    in the object store until the job returns (Ray spills objects to disk
+    under memory pressure).
 
     Documented limitation: the adaptive path runs UNSALTED (hot={}) — its
     per-round window bookkeeping and witness routing key on unsalted leaf
@@ -556,6 +572,9 @@ def polygonize_slices_adaptive(
     buffer should use a smaller tile_size (more, lighter tiles) instead;
     group-count overhead stays bounded by the ~4x-cores bucketing.
     """
+    exact_cfg = replace(cfg, tile_size=0.0, node_input=True)
+    if not cfg.tiled():
+        return polygonize_slices(slices, columns, exact_cfg)
     n_cpus = cluster_cpus()
     # map tasks read only these columns: payload never enters the exchange
     cols = [c for c in ("plane_id", "xs", "ys") if c in columns]
@@ -573,33 +592,17 @@ def polygonize_slices_adaptive(
     # witnesses not yet covered: owner leaf, bbox (minx, miny, maxx, maxy)
     wit_tile, wit_box = np.empty(0, dtype=np.int64), np.empty((0, 4))
 
-    # max_rounds bounds the geometric escalation; a few extra "delivery"
-    # rounds at the global buffer hand globally-traced faces to their
-    # centroid-owner tiles (each delivery marks its tiles globally-ran, so
-    # witnesses to them are then suppressed — the uncovered set shrinks).
-    hard_cap = max_rounds + 16
-    for r in range(hard_cap):
+    for r in range(max(max_rounds, 1)):
         buf = buffer0 * (2**r)
-        if r >= max_rounds - 1:
-            buf = max(buf, span)  # last permitted round is globally exact
-        final_round = buf >= span
+        if buf >= span or r >= max_rounds - 1:
+            # tracing the whole linework once is the exact answer
+            refs = polygonize_slices(slices, columns, exact_cfg)
+            return [_owner_tiles_task.remote(ref, geom) for ref in refs]
         assigner = SaltedSegmentAssigner(bbox, cfg.tile_size, buf, hot={})
 
         # rounds 1+: keep only the active tiles; the map side pre-filters
         # its rows to those meeting an active tile's window before assignment
         keep = None if active is None else np.array(sorted(active), dtype=np.int64)
-
-        if _round_input_counts is not None:
-            # test-only observability (costs an extra pass over the slices):
-            # rows actually entering this round's assignment, recorded as
-            # (rows, ran_at_global_buffer).  Global-buffer rounds (the
-            # exactness guarantee and any delivery rounds) necessarily scan
-            # the full input; scan locality applies to the other rounds.
-            rows = sum(n for _, _, n in slices)
-            if keep is not None:
-                rows = sum(map_slices(_prefiltered_rows, slices, assigner, keep))
-            _round_input_counts.append((rows, bool(final_round)))
-
         n_tiles = len(last_buf) if keep is None else len(keep)
         n_buckets = max(2, min(n_tiles, 4 * n_cpus))
         tracer = EscalatingTilePolygonizer(
@@ -612,12 +615,7 @@ def polygonize_slices_adaptive(
             last_buf[keep // _SALT_SUBS] = buf
 
         verdicts = ray.get([_verdicts_task.remote(ref) for ref in refs])
-        # a global-window run is exact by construction; verdicts (e.g.
-        # an open face that is the unbounded one) no longer indicate
-        # missing faces
-        unresolved: set[int] = set()
-        if not final_round:
-            unresolved = set(np.concatenate([u for u, _ in verdicts]).tolist())
+        unresolved = set(np.concatenate([u for u, _ in verdicts]).tolist())
 
         wit = pa.concat_tables([w for _, w in verdicts])
         xs = pc.list_flatten(wit["shell_xs"]).to_numpy().reshape(-1, 2)

@@ -260,7 +260,7 @@ def _polylines_and_rings(seed):
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 21])
-def test_adaptive_matches_local_on_large_rings(seed):
+def test_adaptive_matches_local_on_large_rings(seed, adaptive_rounds):
     """Escalation on clipped segment rows: for random polylines and closed
     rings far larger than the round-0 window (tile 10, buffer 5), the
     adaptive run and the local run give the same polygon count and area
@@ -275,12 +275,11 @@ def test_adaptive_matches_local_on_large_rings(seed):
 
     lines = _polylines_and_rings(seed)
     local = _count_area([p.area for p in polygonize_lines(lines, node_input=True)])
-    counts: list = []
     cfg = PipelineConfig(tile_size=10.0, tile_buffer=1.0)
     out = polygonize_dataset_adaptive(
-        rd.from_arrow(linework_table(lines)), cfg, (0, 0, 100, 100), _round_input_counts=counts
+        rd.from_arrow(linework_table(lines)), cfg, (0, 0, 100, 100)
     ).to_pandas()
-    assert len(counts) >= 2, counts
+    assert len(adaptive_rounds) >= 2, adaptive_rounds
     _assert_same_count_area(_count_area(out["area"].to_numpy()), local)
 
 

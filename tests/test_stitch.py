@@ -72,7 +72,7 @@ class TestAdaptiveEscalation:
         )
         assert sorted(out["n_holes"]) == sorted(len(p.holes_x) for p in local)
 
-    def test_escalation_rounds_scale_with_active_tiles(self):
+    def test_escalation_rounds_scale_with_active_tiles(self, adaptive_rounds):
         """Round-2 judge item #4 evidence: round 2+ of the escalation loop
         scans only the linework near the ACTIVE tiles, not the full input.
         grid(40) fills the plane with resolvable tiles; one oversized ring
@@ -82,22 +82,15 @@ class TestAdaptiveEscalation:
         lines = grid_lines(80) + [sq(0.25, 12.5)]
         local = polygonize_lines(lines, node_input=True)
         cfg = PipelineConfig(tile_size=4.0, tile_buffer=1.5)
-        counts: list = []
         out = polygonize_dataset_adaptive(
-            rd.from_arrow(linework_table(lines)),
-            cfg,
-            bbox=(0, 0, 80, 80),
-            _round_input_counts=counts,
+            rd.from_arrow(linework_table(lines)), cfg, bbox=(0, 0, 80, 80)
         ).to_pandas()
+        counts = adaptive_rounds
         assert np.allclose(sorted(out["area"]), sorted(p.area for p in local))
         assert len(counts) >= 2, "escalation did not run a second round"
-        # round 0 scans everything; intermediate NON-GLOBAL rounds scan
-        # ~the active windows.  Global-buffer rounds (window >= span: the
-        # final exactness round and any delivery rounds handing
-        # globally-traced faces to their centroid-owner tiles) necessarily
-        # pass the whole input through the prefilter — their assignment is
-        # still restricted to the active tiles, so only the scan is
-        # full-size.
+        # round 0 scans everything; the later tiled rounds scan ~the active
+        # windows.  The untiled last step, if the rounds reach it, traces
+        # the whole input once, so its scan is full-size.
         rows = [c for c, _ in counts]
         non_global = [c for c, g in counts[1:] if not g]
         assert rows[0] == len(lines)
@@ -190,19 +183,46 @@ class TestAdaptiveEscalation:
         out = polygonize_dataset_adaptive(ds, cfg, bbox=(-1, -1, n + 1, n + 1))
         assert area_holes(consume(out)) == local
 
-    def test_nested_giant_rings(self):
-        """Nested rings far larger than any tile: everything escalates to the
-        global round and still comes out exact."""
+    @pytest.mark.parametrize("max_rounds", [1, 4])
+    def test_nested_giant_rings(self, monkeypatch, max_rounds):
+        """Nested rings far larger than any tile: the job ends in the
+        untiled trace of the whole linework, within ``max_rounds`` rounds,
+        and comes out exact, each row's tile_id the leaf that owns its
+        shell's centroid (a tiled round's owner)."""
+        from geo_polygonize_ray.geom.kernels import ring_centroid_isolated
+        from geo_polygonize_ray.pipelines import polygonize
+        from geo_polygonize_ray.stages import stitch
+        from geo_polygonize_ray.stages.linework import SaltedTileAssigner
+        from geo_polygonize_ray.stages.trace import TilePolygonizer
+
+        reduce_fns = []
+        for module in (stitch, polygonize):
+            def spy(inputs, n_out, reduce_fn, _exchange=module.exchange):
+                reduce_fns.append(reduce_fn)
+                return _exchange(inputs, n_out, reduce_fn)
+
+            monkeypatch.setattr(module, "exchange", spy)
         sq = lambda a, b: ls((a, a), (b, a), (b, b), (a, b), (a, a))
         lines = [sq(0, 64), sq(8, 56), sq(16, 48)]
         local = polygonize_lines(lines, node_input=True)
         cfg = PipelineConfig(tile_size=8.0, tile_buffer=1.0)
         ds = rd.from_arrow(linework_table(lines))
-        out = polygonize_dataset_adaptive(ds, cfg, bbox=(0, 0, 64, 64)).to_pandas()
+        out = polygonize_dataset_adaptive(
+            ds, cfg, bbox=(0, 0, 64, 64), max_rounds=max_rounds
+        ).to_pandas()
         assert sorted(round(a, 6) for a in out["area"]) == sorted(
             round(p.area, 6) for p in local
         )
         assert sorted(out["n_holes"]) == sorted(len(p.holes_x) for p in local)
+
+        assert 1 <= len(reduce_fns) <= max_rounds, reduce_fns
+        *tiled, last = reduce_fns
+        assert type(last) is TilePolygonizer and last.assigner is None
+        assert all(isinstance(f, stitch.EscalatingTilePolygonizer) for f in tiled)
+        grid = SaltedTileAssigner((0, 0, 64, 64), 8.0)
+        for tile_id, xs, ys in zip(out["tile_id"], out["shell_xs"], out["shell_ys"]):
+            anchor = ring_centroid_isolated(xs, ys, np.array([0, len(xs)]))
+            assert tile_id == grid.owner_leaves(*anchor)[0]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -223,7 +243,7 @@ class TestStitchExchange:
             assert not any(op in n for n in names), names
             assert op not in out.stats()
 
-    def test_input_lineage_executes_once_across_rounds(self, tmp_path):
+    def test_input_lineage_executes_once_across_rounds(self, tmp_path, adaptive_rounds):
         """The 80x80 ring from four sides needs several rounds; an upstream
         UDF still runs once per input block (no per-round re-execution, and
         the bbox comes from the same slices)."""
@@ -236,13 +256,10 @@ class TestStitchExchange:
 
         table = linework_table(square_sides(80))
         ds = split_blocks(table, 3).map_batches(tag, batch_format="pyarrow", batch_size=None)
-        counts: list = []
         cfg = PipelineConfig(tile_size=10.0, tile_buffer=1.0)
-        out = consume(
-            polygonize_dataset_adaptive(ds, cfg, max_rounds=6, _round_input_counts=counts)
-        )
+        out = consume(polygonize_dataset_adaptive(ds, cfg, max_rounds=6))
         assert area_holes(out) == [(6400.0, 0)]
-        assert len(counts) >= 2, counts
+        assert len(adaptive_rounds) >= 2, adaptive_rounds
         assert log.read_text().count("x") == 3
 
     def test_many_blocks_match_local(self):
